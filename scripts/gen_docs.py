@@ -153,9 +153,7 @@ def generate_http_api(surface: dict) -> str:
         "(`jobs` for `GET /v1/jobs`, `results` for `GET /v1/results`).",
         "- `POST` submissions answer 202 with the job record; add `?wait=S` "
         "to block up to `S` seconds for completion (200 with the result).",
-        "- A handful of pre-`/v1` paths (`/health`, `/jobs`, ...) still serve "
-        "as deprecated aliases with deprecation headers; endpoints introduced "
-        "since (`/v1/codecs`, `/v1/results`, ...) are `/v1`-only.",
+        "- Every route lives under `/v1`; any other path answers 404.",
         "",
         "## Scenarios",
         "",

@@ -7,7 +7,7 @@ endpoints the fleet uses to assemble itself.  Clients — above all
 to the gateway exactly as they would to a single node; the gateway:
 
 * **canonicalizes** every submission with the same shared helpers nodes use
-  (:func:`~repro.service.server.canonicalize_compress` et al.), computes the
+  (:func:`~repro.service.server.canonicalize_submission`), computes the
   content digest *before* choosing a node, and
 * **routes by digest** over a consistent-hash ring (:mod:`.ring`), so a
   re-submitted job lands on the node whose result cache already holds it;
@@ -27,18 +27,17 @@ to the gateway exactly as they would to a single node; the gateway:
   saturated node queue).
 
 Gateway job ids are ``<remote id>@<node id>``; the proxy rewrites ids on the
-way out and back so callers never handle node-local ids.
+way out and back so callers never handle node-local ids.  The request
+plumbing — envelopes, body limits, span/timing, probe routes — is the
+:mod:`repro.service.http` kit the node uses too.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from http.server import ThreadingHTTPServer
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
@@ -48,8 +47,15 @@ from ..service.client import (
     ServiceRequestError,
     ServiceUnavailable,
 )
+from ..service.http import (
+    API_VERSION,
+    HTTPError,
+    JSONRequestHandler,
+    parse_wait,
+    retry_after,
+)
 from ..service.registry import ScenarioRegistry, build_default_registry
-from ..service.server import canonicalize_campaign, canonicalize_compress
+from ..service.server import canonicalize_submission
 from ..service.workers import job_digest
 from .quotas import ANONYMOUS_TENANT, QuotaExceeded, TenantQuotas, UnknownKeyError
 from .registry import NodeRegistry, RegistrySkewError, UnknownNodeError, compute_registry_digest
@@ -83,11 +89,6 @@ GATEWAY_ROUTES = (
     "POST /v1/nodes/<id>/journal",
 )
 
-_GATEWAY_ROUTE_SET = frozenset(GATEWAY_ROUTES)
-
-#: Same body bound as the node servers (a campaign spec is a few KiB).
-MAX_BODY_BYTES = 16 * 1024 * 1024
-
 _OBS = get_metrics()
 _GW_REQUESTS = _OBS.counter(
     "repro_gateway_requests_total",
@@ -111,26 +112,6 @@ _FAILOVER = _OBS.counter(
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 
-def _route_label(method: str, parts: list[str]) -> str:
-    """Collapse a request to its route pattern; unknown paths -> unrouted."""
-    normalized = list(parts)
-    if len(normalized) >= 2 and normalized[0] in ("jobs", "nodes"):
-        normalized[1] = "<id>"
-    candidate = "/v1/" + "/".join(normalized)
-    if f"{method} {candidate}" in _GATEWAY_ROUTE_SET:
-        return candidate
-    return "unrouted"
-
-
-def _parse_deadline(body: dict) -> float | None:
-    value = body.get("deadline_s")
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ValueError('"deadline_s" must be a positive number of seconds')
-    return float(value)
-
-
 class NoRouteError(Exception):
     """No healthy node can take this submission right now."""
 
@@ -144,137 +125,30 @@ class FleetSaturated(Exception):
         self.retry_after = retry_after
 
 
-class _HTTPError(Exception):
-    def __init__(self, status: int, message: str, close: bool = False):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.close = close
-
-
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(JSONRequestHandler):
     server: "GatewayServer"
     server_version = "repro-gateway/1.0"
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------ #
-    # Plumbing (mirrors the node handler's envelope guarantees)
-    # ------------------------------------------------------------------ #
-
-    def log_message(self, format: str, *args) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict[str, str] | None = None
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._observed_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._observed_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _split_path(self, url) -> list[str]:
-        """Path segments under ``/v1``.  The gateway is ``/v1``-only — it was
-        born versioned, so there is no legacy alias surface to carry."""
-        parts = [part for part in url.path.split("/") if part]
-        if parts and parts[0] == "v1":
-            return parts[1:]
-        return ["", *parts]  # unrouted namespace -> 404
-
-    def _drain_body(self) -> bytes:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            ) from None
-        if length < 0:
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            )
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(
-                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                close=True,
-            )
-        return self.rfile.read(length) if length else b""
-
-    def _parse_json_body(self, raw: bytes) -> dict:
-        if not raw:
-            raise _HTTPError(400, "empty request body; expected a JSON object")
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise _HTTPError(400, f"invalid JSON body: {error}") from None
-        if not isinstance(body, dict):
-            raise _HTTPError(400, "request body must be a JSON object")
-        return body
+    span_name = "gateway.request"
+    routes = frozenset(GATEWAY_ROUTES)
+    id_roots = {"jobs": "<id>", "nodes": "<id>"}
+    error_subject = "gateway"
 
     def _handle(self, route) -> None:
-        """Observability choke point: metrics + one ``gateway.request`` span.
-
-        The tenant label starts ``anonymous`` and is upgraded once a
-        submission authenticates, so the per-tenant request counter stays a
-        closed set (keys-file names + anonymous).
-        """
-        url = urlsplit(self.path)
-        route_label = _route_label(self.command, self._split_path(url))
-        self._observed_status = 0
+        # The tenant label starts anonymous and is upgraded once a
+        # submission authenticates, so the per-tenant request counter stays
+        # a closed set (keys-file names + anonymous).
         self._tenant_label = ANONYMOUS_TENANT
-        request_span = obs_trace.start_span(
-            "gateway.request",
-            attrs={"method": self.command, "route": route_label, "path": url.path},
-            parent=obs_trace.parse_traceparent(
-                self.headers.get(obs_trace.TRACE_HEADER)
-            ),
-        )
-        started = time.perf_counter()
-        try:
-            with obs_trace.activate(request_span):
-                self._dispatch_route(route)
-        finally:
-            status = self._observed_status
-            request_span.set_attr("status", status)
-            request_span.finish(
-                status="error" if status >= 500 or status == 0 else "ok"
-            )
-            _GW_SECONDS.observe(time.perf_counter() - started, route=route_label)
-            _GW_REQUESTS.inc(
-                route=route_label, status=str(status), tenant=self._tenant_label
-            )
+        super()._handle(route)
 
-    def _dispatch_route(self, route) -> None:
-        try:
-            route()
-        except _HTTPError as error:
-            if error.close:
-                self.close_connection = True
-            self._send_json(error.status, {"error": error.message})
-        except UnknownKeyError as error:
-            self._send_json(
-                401,
-                {"error": str(error)},
-                extra_headers={"WWW-Authenticate": "Bearer"},
-            )
-        except QuotaExceeded as error:
-            self._send_json(
+    def _record(self, route_label: str, status: int, seconds: float) -> None:
+        _GW_SECONDS.observe(seconds, route=route_label)
+        _GW_REQUESTS.inc(route=route_label, status=str(status), tenant=self._tenant_label)
+
+    def _error_reply(self, error: Exception):
+        if isinstance(error, UnknownKeyError):
+            return 401, {"error": str(error)}, {"WWW-Authenticate": "Bearer"}
+        if isinstance(error, QuotaExceeded):
+            return (
                 429,
                 {
                     "error": str(error),
@@ -282,67 +156,46 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     "reason": error.reason,
                     "retry_after": error.retry_after,
                 },
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after)))
-                },
+                retry_after(error.retry_after),
             )
-        except RegistrySkewError as error:
-            self._send_json(409, {"error": str(error)})
-        except UnknownNodeError as error:
+        if isinstance(error, RegistrySkewError):
+            return 409, {"error": str(error)}, None
+        if isinstance(error, UnknownNodeError):
             node_id = error.args[0] if error.args else "?"
-            self._send_json(404, {"error": f"unknown node {node_id!r}"})
-        except FleetSaturated as error:
-            self._send_json(
+            return 404, {"error": f"unknown node {node_id!r}"}, None
+        if isinstance(error, FleetSaturated):
+            return (
                 429,
                 {"error": str(error), "retry_after": error.retry_after},
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after)))
-                },
+                retry_after(error.retry_after),
             )
-        except NoRouteError as error:
-            self._send_json(
-                503, {"error": f"no healthy node available: {error}"}
-            )
-        except ServiceRequestError as error:
+        if isinstance(error, NoRouteError):
+            return 503, {"error": f"no healthy node available: {error}"}, None
+        if isinstance(error, ServiceRequestError):
             # A node answered with a definitive error: pass it through under
             # the node's own status so clients see one consistent API.
             payload = error.payload if isinstance(error.payload, dict) else None
-            self._send_json(error.status, payload or {"error": str(error)})
-        except ServiceUnavailable as error:
-            self._send_json(502, {"error": f"node unreachable: {error}"})
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # client went away; nothing to send
-        except Exception as error:  # noqa: BLE001 - last-resort envelope
-            self.close_connection = True
-            try:
-                self._send_json(
-                    500,
-                    {"error": f"internal gateway error: {type(error).__name__}: {error}"},
-                )
-            except (BrokenPipeError, ConnectionResetError, OSError, ValueError, TypeError):
-                self._observed_status = 0  # connection unusable; span says error
+            return error.status, payload or {"error": str(error)}, None
+        if isinstance(error, ServiceUnavailable):
+            return 502, {"error": f"node unreachable: {error}"}, None
+        return None
+
+    def _not_ready_reason(self) -> str | None:
+        # Ready when at least one registered node is healthy to route to.
+        return None if self.server.nodes.healthy_ids() else "no healthy nodes registered"
 
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_post)
-
-    def _route_get(self) -> None:
-        url = urlsplit(self.path)
-        parts = self._split_path(url)
+    def _get(self, url, parts: list[str]) -> None:
         server = self.server
-
         if parts == ["health"]:
             self._send_json(
                 200,
                 {
                     "status": "ok",
-                    "api_version": "v1",
+                    "api_version": API_VERSION,
                     "role": "gateway",
                     "uptime_seconds": time.time() - server.started_at,
                     "scenarios": len(server.registry),
@@ -350,20 +203,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     "nodes": server.nodes.counts(),
                 },
             )
-        elif parts == ["healthz"]:
-            self._send_json(200, {"status": "alive"})
-        elif parts == ["readyz"]:
-            self._send_readyz()
-        elif parts == ["scenarios"]:
-            self._send_json(200, {"scenarios": server.registry.describe()})
-        elif parts == ["codecs"]:
-            from .. import codecs
-
-            self._send_json(
-                200, {"api_version": "v1", "codecs": codecs.describe_codecs()}
-            )
-        elif parts == ["metrics"]:
-            self._send_metrics(url.query)
         elif parts == ["gateway", "nodes"]:
             self._send_json(
                 200,
@@ -375,51 +214,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             )
         elif parts == ["jobs"]:
             self._send_json(200, server.list_jobs(url.query))
-        elif len(parts) in (2, 3) and parts[0] == "jobs":
-            suffix = ""
-            if len(parts) == 3:
-                if parts[2] not in ("result", "trace"):
-                    self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
-                    return
-                suffix = "/" + parts[2]
-            status, payload = server.proxy_job_get(parts[1], suffix)
-            self._send_json(status, payload)
+        elif len(parts) == 2 and parts[0] == "jobs":
+            self._send_json(*server.proxy_job_get(parts[1], ""))
+        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] in ("result", "trace"):
+            self._send_json(*server.proxy_job_get(parts[1], "/" + parts[2]))
         else:
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
+            super()._get(url, parts)
 
-    def _send_readyz(self) -> None:
-        """Ready when at least one registered node is healthy to route to."""
-        if self.server.draining:
-            self._send_json(503, {"ready": False, "reason": "draining"})
-        elif not self.server.nodes.healthy_ids():
-            self._send_json(
-                503, {"ready": False, "reason": "no healthy nodes registered"}
-            )
-        else:
-            self._send_json(200, {"ready": True})
-
-    def _send_metrics(self, query_string: str) -> None:
-        query = parse_qs(query_string)
-        fmt = query.get("format", ["prometheus"])[0]
-        registry = get_metrics()
-        if fmt == "json":
-            self._send_json(200, registry.to_jsonable())
-        elif fmt in ("prometheus", "text"):
-            self._send_text(
-                200,
-                registry.render_prometheus(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            raise _HTTPError(
-                400, f'invalid "format" {fmt!r}; one of ["json", "prometheus"]'
-            )
-
-    def _route_post(self) -> None:
-        url = urlsplit(self.path)
-        raw = self._drain_body()
-        parts = self._split_path(url)
-
+    def _post(self, url, parts: list[str], raw: bytes) -> None:
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
             server = self.server
             if server.quotas is not None:
@@ -429,29 +231,27 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 # sheds load, it does not add any).
                 tenant = server.quotas.tenant_for(self.headers.get("Authorization"))
                 self._tenant_label = tenant.name
-            status, payload = server.proxy_cancel(parts[1])
-            self._send_json(status, payload)
-            return
-        if parts == ["nodes"]:
+            self._send_json(*server.proxy_cancel(parts[1]))
+        elif parts == ["nodes"]:
             self._register_node(self._parse_json_body(raw))
-            return
-        if len(parts) == 2 and parts[0] == "nodes":
-            raise _HTTPError(404, f"no such endpoint {url.path!r}")
-        if len(parts) == 3 and parts[0] == "nodes":
+        elif len(parts) == 3 and parts[0] == "nodes":
             self._node_ops(parts[1], parts[2], raw)
-            return
-        if parts not in (["jobs"], ["compress"], ["campaign"]):
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
-            return
-        self._submit(parts, url.query, self._parse_json_body(raw))
+        elif parts in (["jobs"], ["compress"], ["campaign"]):
+            self._submit(parts, url.query, raw)
+        else:
+            super()._post(url, parts, raw)
 
     # ------------------------------------------------------------------ #
     # Front door: routed submission
     # ------------------------------------------------------------------ #
 
-    def _submit(self, parts: list[str], query_string: str, body: dict) -> None:
+    def _submit(self, parts: list[str], query_string: str, raw: bytes) -> None:
         """Canonicalize -> authorize -> route by digest -> proxy -> record."""
         server = self.server
+        # Parsed (and clamped) before any quota is charged, exactly as the
+        # node parses it: a bad value is a 400 that costs the tenant nothing.
+        wait = parse_wait(query_string)
+        body = self._parse_json_body(raw)
         tenant = None
         if server.quotas is not None:
             tenant = server.quotas.tenant_for(self.headers.get("Authorization"))
@@ -460,16 +260,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             job_type, params, digest, deadline_s = server.canonicalize(parts, body)
         except ValueError as error:
-            raise _HTTPError(400, str(error)) from None
+            raise HTTPError(400, str(error)) from None
         if tenant is not None:
             # In-flight slots are keyed by digest: idempotent across the
             # resubmission of the same work and stable across failover.
             server.quotas.acquire(tenant, digest)
-        query = parse_qs(query_string)
-        wait = f"?wait={query['wait'][0]}" if "wait" in query else ""
         try:
             node_id, record = server.submit_routed(
-                f"/v1/{parts[0]}", body, digest, query=wait
+                f"/v1/{parts[0]}", body, digest, wait=wait
             )
         except (NoRouteError, FleetSaturated, ServiceError):
             if tenant is not None:
@@ -484,7 +282,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 f"digest mismatch (gateway {digest[:12]}..., "
                 f"node {str(remote_digest)[:12]}...): registry skew",
             )
-            raise _HTTPError(
+            raise HTTPError(
                 502,
                 f"node {node_id} canonicalized the job to a different digest; "
                 "refusing the response (registry skew)",
@@ -505,19 +303,19 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _register_node(self, body: dict) -> None:
         url = body.get("url")
         if not isinstance(url, str) or not url:
-            raise _HTTPError(400, 'missing or non-string "url" field')
+            raise HTTPError(400, 'missing or non-string "url" field')
         digest = body.get("registry_digest")
         if not isinstance(digest, str) or not digest:
-            raise _HTTPError(400, 'missing or non-string "registry_digest" field')
+            raise HTTPError(400, 'missing or non-string "registry_digest" field')
         node_id = body.get("node_id")
         if node_id is not None and not isinstance(node_id, str):
-            raise _HTTPError(400, '"node_id" must be a string when present')
+            raise HTTPError(400, '"node_id" must be a string when present')
         try:
             node = self.server.admit_node(url, digest, node_id=node_id)
         except RegistrySkewError:
             raise
         except ValueError as error:
-            raise _HTTPError(400, str(error)) from None
+            raise HTTPError(400, str(error)) from None
         self._send_json(
             200,
             {
@@ -533,10 +331,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             body = self._parse_json_body(raw)
             depth = body.get("queue_depth", 0)
             if not isinstance(depth, int) or isinstance(depth, bool):
-                raise _HTTPError(400, '"queue_depth" must be an integer')
+                raise HTTPError(400, '"queue_depth" must be an integer')
             digest = body.get("registry_digest")
             if not isinstance(digest, str):
-                raise _HTTPError(400, 'missing or non-string "registry_digest" field')
+                raise HTTPError(400, 'missing or non-string "registry_digest" field')
             node = server.nodes.heartbeat(node_id, depth, digest)
             self._send_json(200, {"status": "ok", "state": node.state})
         elif op == "journal":
@@ -545,7 +343,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             if not isinstance(lines, list) or not all(
                 isinstance(line, str) for line in lines
             ):
-                raise _HTTPError(400, '"lines" must be a list of strings')
+                raise HTTPError(400, '"lines" must be a list of strings')
             if server.nodes.get(node_id) is None:
                 raise UnknownNodeError(node_id)
             self._send_json(200, server.replicas.append_lines(node_id, lines))
@@ -553,7 +351,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             node = server.remove_node(node_id)
             self._send_json(200, node.to_dict())
         else:
-            raise _HTTPError(404, f"no such node operation {op!r}")
+            raise HTTPError(404, f"no such node operation {op!r}")
 
 
 class GatewayServer(ThreadingHTTPServer):
@@ -658,7 +456,14 @@ class GatewayServer(ThreadingHTTPServer):
         self._failover_node(node_id)
         return node
 
-    def node_client(self, node_id: str) -> ServiceClient | None:
+    def node_client(self, node_id: str, wait: float | None = None) -> ServiceClient | None:
+        """The cached client for ``node_id`` (``None`` for an unknown node).
+
+        ``wait`` is a proxied submit's ``?wait=`` seconds: the node holds
+        that request open for up to that long, so it gets a client whose
+        timeout outlasts the wait — otherwise the retry reconciles by digest
+        and answers 202 early.  It shares the cached client's breaker.
+        """
         node = self.nodes.get(node_id)
         if node is None:
             return None
@@ -669,6 +474,14 @@ class GatewayServer(ThreadingHTTPServer):
                     node.url, timeout=self.node_timeout, retries=1, backoff=0.05
                 )
                 self._clients[node_id] = client
+        if wait:
+            return ServiceClient(
+                node.url,
+                timeout=self.node_timeout + wait,
+                retries=client.retries,
+                backoff=client.backoff,
+                breaker=client.breaker,
+            )
         return client
 
     def route_digest(self, digest: str, extra_exclude=()) -> str | None:
@@ -690,25 +503,9 @@ class GatewayServer(ThreadingHTTPServer):
         gateway routes by equals the digest every (non-skewed) node will
         answer with.  Raises ``ValueError`` on anything malformed.
         """
-        if parts == ["compress"]:
-            submission, deadline_s = canonicalize_compress(body)
-            job_type = "codec_compress"
-        elif parts == ["campaign"]:
-            submission, deadline_s = canonicalize_campaign(body, self.registry)
-            job_type = "campaign"
-        else:
-            job_type = body.get("type")
-            if not isinstance(job_type, str):
-                raise ValueError('missing or non-string "type" field')
-            submission = body.get("params")
-            if submission is None:
-                submission = {}
-            if not isinstance(submission, dict):
-                raise ValueError('"params" must be a JSON object')
-            unknown = set(body) - {"type", "params", "deadline_s"}
-            if unknown:
-                raise ValueError(f"unknown field(s) {sorted(unknown)}")
-            deadline_s = _parse_deadline(body)
+        job_type, submission, deadline_s = canonicalize_submission(
+            parts[0], body, self.registry
+        )
         declared = self.registry.get(job_type)  # ValueError on unknown types
         params = {**declared.defaults, **dict(submission)}
         return job_type, params, job_digest(job_type, params), deadline_s
@@ -718,9 +515,12 @@ class GatewayServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------ #
 
     def submit_routed(
-        self, path: str, body: dict, digest: str, query: str = ""
+        self, path: str, body: dict, digest: str, wait: float | None = None
     ) -> tuple[str, dict]:
         """POST ``body`` to the digest's ring owner, failing over candidates.
+
+        ``wait`` (seconds, already parsed and clamped) is forwarded as
+        ``?wait=`` and stretches the hop's timeout to match.
 
         An unreachable owner is marked suspect and the next ring candidate
         tried; a *saturated* owner (429 through the client's retries) is
@@ -728,13 +528,14 @@ class GatewayServer(ThreadingHTTPServer):
         slow the caller down, not scatter the digest's cache locality
         across the fleet.
         """
+        query = "" if wait is None else f"?wait={wait}"
         tried: set[str] = set()
         last_error = "no nodes registered"
         while True:
             target = self.route_digest(digest, extra_exclude=tried)
             if target is None:
                 raise NoRouteError(last_error)
-            client = self.node_client(target)
+            client = self.node_client(target, wait)
             if client is None:
                 tried.add(target)
                 continue

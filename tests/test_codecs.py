@@ -508,28 +508,13 @@ class TestVersionedHTTPAPI:
         assert sparse["digest"] == spelled["digest"]
         assert spelled["cache_hit"]
 
-    def test_v1_jobs_and_health_mirror_legacy(self, base):
-        status, headers, payload = http(base, "/v1/health")
-        assert status == 200 and payload["api_version"] == "v1"
-        assert "Deprecation" not in headers
-        status, _, v1_jobs = http(base, "/v1/jobs")
-        status_legacy, _, legacy_jobs = http(base, "/jobs")
-        assert status == status_legacy == 200
-        assert v1_jobs["total"] == legacy_jobs["total"]
-
-    def test_legacy_routes_carry_deprecation_headers(self, base):
-        for path in ("/health", "/scenarios", "/cache/stats", "/jobs"):
-            status, headers, _ = http(base, path)
-            assert status == 200
-            assert headers.get("Deprecation") == "true"
-            assert f"/v1{path}" in headers.get("Link", "")
-        # Legacy POST routes answer with the header too.
-        status, headers, _ = http(base, "/jobs?wait=120", {
-            "type": "codec_compress",
-            "params": {"codec": "ptq", "rows": 16, "cols": 64},
-        })
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
+    def test_unprefixed_paths_are_404_without_deprecation_header(self, base):
+        """The pre-/v1 aliases are gone: unprefixed paths route nowhere."""
+        for path in ("/health", "/jobs", "/cache/stats"):
+            status, headers, payload = http(base, path)
+            assert status == 404
+            assert "Deprecation" not in headers
+            assert payload == {"error": f"no such endpoint {path!r}"}
 
     def test_v1_unknown_endpoint_is_404(self, base):
         assert http(base, "/v1/nope")[0] == 404

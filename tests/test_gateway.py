@@ -762,6 +762,56 @@ class TestReadyz:
 
 
 # --------------------------------------------------------------------- #
+# ?wait= through the gateway
+# --------------------------------------------------------------------- #
+
+
+class TestSubmitWait:
+    @pytest.fixture()
+    def napping(self):
+        """A gateway with a short node timeout over one node whose only
+        job type sleeps for a requested time."""
+        import time
+
+        from repro.service.registry import ScenarioRegistry
+
+        registry = ScenarioRegistry()
+        registry.add(
+            "nap", "sleep, then echo", lambda seconds=0.0: time.sleep(seconds) or seconds,
+            {"seconds": 0.0},
+        )
+        gateway = create_gateway(
+            port=0, registry=registry, node_timeout=0.3,
+            suspect_after=60.0, dead_after=120.0, sweep_interval=60.0,
+        )
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        server = create_server(port=0, registry=registry, max_workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            gateway.admit_node(f"http://127.0.0.1:{server.port}", gateway.registry_digest)
+            yield ServiceClient(f"http://127.0.0.1:{gateway.port}", timeout=30.0, retries=0)
+        finally:
+            server.close()
+            gateway.close()
+
+    def test_wait_outlasts_the_node_timeout(self, napping):
+        # The proxied hop used to time out after node_timeout (0.3 s), and
+        # its retry reconciled by digest into a premature 202 "running".
+        record = napping.request(
+            "POST", "/v1/jobs?wait=30", {"type": "nap", "params": {"seconds": 1.0}}
+        )
+        assert record["state"] == "done"
+        assert record["result"] == 1.0
+
+    def test_invalid_wait_is_400_at_the_front_door(self, napping):
+        for wait in ("1O", "nan"):
+            with pytest.raises(ServiceRequestError) as excinfo:
+                napping.request("POST", f"/v1/jobs?wait={wait}", {"type": "nap"})
+            assert excinfo.value.status == 400
+            assert "wait" in excinfo.value.payload["error"]
+
+
+# --------------------------------------------------------------------- #
 # Client reconcile-on-retry (the double-submit bugfix)
 # --------------------------------------------------------------------- #
 

@@ -149,7 +149,7 @@ class TestNoneValues:
         assert reopened.get("k", MISSING) is None
         assert reopened.stats()["disk_hits"] == 1
 
-    def test_missing_sentinel_is_exported_by_service_shim(self):
+    def test_missing_sentinel_is_exported_by_service_package(self):
         from repro.core.cache import MISSING as core_missing
         from repro.service import MISSING as service_missing
 
