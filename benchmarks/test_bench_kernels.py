@@ -17,6 +17,7 @@ committed ``BENCH_kernels.json`` is the baseline recorded for this PR.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups_reference,
 )
 from repro.eval.experiments import figure6_kl_divergence
-from repro.quant.bitflip import bitflip_tensor
+from repro.quant import bitflip as bitflip_module
+from repro.quant.bitflip import _bitflip_batch_reference, bitflip_tensor
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,13 @@ def test_bench_prune_tensor_memoized(benchmark, weight_matrix):
 def test_bench_bitflip_tensor(benchmark, weight_matrix):
     result = benchmark(bitflip_tensor, weight_matrix, 3)
     assert result.values.shape == weight_matrix.shape
+
+
+def test_bench_bitflip_tensor_reference(benchmark, weight_matrix):
+    """The same bit-flip through the original bit-plane batch, for trajectory."""
+    with mock.patch.object(bitflip_module, "_bitflip_batch", _bitflip_batch_reference):
+        result = benchmark(bitflip_tensor, weight_matrix, 3)
+    assert np.array_equal(result.values, bitflip_tensor(weight_matrix, 3).values)
 
 
 def test_bench_global_pruning(benchmark, weight_matrix):

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .area_power import PEDesign, bitlet_pe
-from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_bitplanes
+from .common import BitSerialAccelerator, GroupCycleStats, column_ones, unsigned_words
 from ..nn.synthetic import LayerWeights
 
 __all__ = ["BitletAccelerator"]
@@ -36,8 +35,8 @@ class BitletAccelerator(BitSerialAccelerator):
         groups = self.layer_groups(layer)
         lanes = self.array.lanes_per_pe
 
-        planes = to_bitplanes(groups, self.weight_bits)  # (G, group, bits)
-        ones_per_significance = planes.sum(axis=1)  # (G, bits)
+        words = unsigned_words(groups, self.weight_bits)
+        ones_per_significance = column_ones(words, self.weight_bits)  # (G, bits)
         # One lane per significance: the group drains when the most populated
         # significance has been fully absorbed.
         actual = ones_per_significance.max(axis=1).astype(np.float64)

@@ -23,9 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..area_power import PEDesign, bitvert_pe
-from ..common import BitSerialAccelerator, GroupCycleStats, ModelPerformance
+from ..common import (
+    BitSerialAccelerator,
+    GroupCycleStats,
+    ModelPerformance,
+    column_ones,
+    unsigned_words,
+    weight_groups,
+)
 from ...core.binary_pruning import PrunedTensor, prune_tensor
-from ...core.bitplane import to_bitplanes
 from ...core.encoding import METADATA_BITS
 from ...core.global_pruning import (
     MODERATE_PRESET,
@@ -140,22 +146,14 @@ class BitVertAccelerator(BitSerialAccelerator):
         pe_group = self.array.pe_group_size
         weights = np.asarray(pruned_weights)
         lo, hi = -(1 << (self.weight_bits - 1)), (1 << (self.weight_bits - 1)) - 1
-        weights = np.clip(weights, lo, hi)
-        channels, reduction = weights.shape
-        usable = reduction - (reduction % pe_group)
-        if usable == 0:
-            padded = np.zeros((channels, pe_group), dtype=weights.dtype)
-            padded[:, :reduction] = weights
-            groups = padded
-        else:
-            groups = weights[:, :usable].reshape(-1, pe_group)
-        planes = to_bitplanes(groups.astype(np.int64), self.weight_bits)
+        groups = weight_groups(np.clip(weights, lo, hi), pe_group)
         num_groups = groups.shape[0]
-        sub_groups = pe_group // self.sub_group
-        per_sub = planes.reshape(num_groups, sub_groups, self.sub_group, self.weight_bits)
-        ones = per_sub.sum(axis=2)
+        # One row per sub-group: its one-bit count at every significance.
+        sub_groups = num_groups * (pe_group // self.sub_group)
+        words = unsigned_words(groups, self.weight_bits).reshape(sub_groups, self.sub_group)
+        ones = column_ones(words, self.weight_bits)
         minority = np.minimum(ones, self.sub_group - ones)
-        effectual = minority.sum(axis=(1, 2))
+        effectual = minority.reshape(num_groups, -1).sum(axis=1)
         minimal = np.ceil(effectual / lanes)
         return np.maximum(minimal, 1.0).astype(np.float64)
 

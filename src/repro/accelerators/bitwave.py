@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .area_power import PEDesign, bitwave_pe
-from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_sign_magnitude_planes
+from .common import BitSerialAccelerator, GroupCycleStats, weight_groups
 from ..core.encoding import METADATA_BITS
 from ..nn.synthetic import LayerWeights
 from ..nn.workloads import GemmWorkload
@@ -83,22 +82,23 @@ class BitWaveAccelerator(BitSerialAccelerator):
         )
         return result.values
 
-    def _kept_columns_per_group(self, layer: LayerWeights) -> np.ndarray:
-        pruned = self._pruned_weights(layer)
-        group = self.array.pe_group_size
-        channels, reduction = pruned.shape
-        usable = reduction - (reduction % group)
-        if usable == 0:
-            padded = np.zeros((channels, group), dtype=pruned.dtype)
-            padded[:, :reduction] = pruned
-            groups = padded
-        else:
-            groups = pruned[:, :usable].reshape(-1, group)
+    def _pruned_groups(self, layer: LayerWeights) -> np.ndarray:
+        """Bit-flipped weights as ``(num_groups, pe_group_size)``, -128 clipped."""
+        groups = weight_groups(self._pruned_weights(layer), self.array.pe_group_size)
         lo = -(1 << (self.weight_bits - 1))
-        groups = np.where(groups == lo, lo + 1, groups)
-        planes = to_sign_magnitude_planes(groups, self.weight_bits)
-        kept = planes.any(axis=1).sum(axis=1)  # non-all-zero columns per group
-        return np.maximum(kept, 1).astype(np.int64)
+        return np.where(groups == lo, lo + 1, groups)
+
+    @staticmethod
+    def _kept_columns(groups: np.ndarray) -> np.ndarray:
+        """Non-all-zero sign-magnitude columns per group (at least one).
+
+        A magnitude column is kept when any weight has a one there, i.e. when
+        its bit is set in the OR of the group's magnitudes; the sign column is
+        kept when any weight is negative.
+        """
+        magnitude_or = np.bitwise_or.reduce(np.abs(groups), axis=1)
+        kept = np.bitwise_count(magnitude_or).astype(np.int64) + (groups < 0).any(axis=1)
+        return np.maximum(kept, 1)
 
     def _group_partition(self, layer: LayerWeights) -> np.ndarray:
         """Scheduling-class label per PE group (sensitive vs pruned channels).
@@ -116,29 +116,24 @@ class BitWaveAccelerator(BitSerialAccelerator):
 
     # ----------------------------------------------------------------- hooks
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
-        kept = self._kept_columns_per_group(layer)
+        groups = self._pruned_groups(layer)
+        kept = self._kept_columns(groups)
         cycles_per_column = self.array.pe_group_size / self.array.lanes_per_pe
         actual = kept.astype(np.float64) * cycles_per_column
         partition = self._group_partition(layer)
         if partition.size != actual.size:
             partition = None
 
-        # Lower bound: the one-bits actually present, spread over all lanes.
-        pruned = self._pruned_weights(layer)
-        group = self.array.pe_group_size
-        channels, reduction = pruned.shape
-        usable = reduction - (reduction % group)
-        view = pruned[:, :usable].reshape(-1, group) if usable else pruned[:, :group]
-        lo = -(1 << (self.weight_bits - 1))
-        view = np.where(view == lo, lo + 1, view)
-        planes = to_sign_magnitude_planes(view, self.weight_bits)
-        total_ones = planes.sum(axis=(1, 2))
+        # Lower bound: the one-bits actually present (magnitude bits plus a
+        # sign bit per negative weight), spread over all lanes.
+        total_ones = np.bitwise_count(np.abs(groups)).sum(axis=1, dtype=np.int64)
+        total_ones += np.count_nonzero(groups < 0, axis=1)
         minimal = np.ceil(total_ones / self.array.lanes_per_pe).astype(np.float64)
         minimal = np.minimum(np.maximum(minimal, 1.0), actual)
         return GroupCycleStats(actual=actual, minimal=minimal, partition=partition)
 
     def stored_weight_bytes(self, workload: GemmWorkload, layer: LayerWeights) -> float:
-        kept = self._kept_columns_per_group(layer)
+        kept = self._kept_columns(self._pruned_groups(layer))
         group = self.array.pe_group_size
         bits_per_group = kept.astype(np.float64) * group + METADATA_BITS
         mean_bits_per_weight = float(bits_per_group.mean()) / group

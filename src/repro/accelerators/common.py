@@ -372,12 +372,49 @@ class BitSerialAccelerator(Accelerator):
 
     def layer_groups(self, layer: LayerWeights) -> np.ndarray:
         """Sampled weights reshaped to ``(num_groups, pe_group_size)``."""
-        weights = np.asarray(layer.int_weights)
-        group = self.array.pe_group_size
-        channels, reduction = weights.shape
-        usable = reduction - (reduction % group)
-        if usable == 0:
-            padded = np.zeros((channels, group), dtype=weights.dtype)
-            padded[:, :reduction] = weights
-            return padded
-        return weights[:, :usable].reshape(channels * (usable // group), group)
+        return weight_groups(layer.int_weights, self.array.pe_group_size)
+
+
+def weight_groups(weights: np.ndarray, group: int) -> np.ndarray:
+    """A ``(channels, reduction)`` matrix reshaped to ``(num_groups, group)``.
+
+    Trailing weights that do not fill a whole group are dropped; a matrix
+    narrower than one group is zero-padded to one group per channel.
+    """
+    weights = np.asarray(weights)
+    channels, reduction = weights.shape
+    usable = reduction - (reduction % group)
+    if usable == 0:
+        padded = np.zeros((channels, group), dtype=weights.dtype)
+        padded[:, :reduction] = weights
+        return padded
+    return weights[:, :usable].reshape(channels * (usable // group), group)
+
+
+def unsigned_words(values: np.ndarray, bits: int) -> np.ndarray:
+    """Two's-complement ``bits``-bit words of ``values`` as unsigned integers.
+
+    ``np.bitwise_count`` of the result is the number of one bits in each
+    word's two's-complement form (``np.bitwise_count`` of a negative signed
+    integer counts the bits of its absolute value instead).
+    """
+    mask = (1 << bits) - 1
+    return (np.asarray(values, dtype=np.int64) & mask).astype(np.min_scalar_type(mask))
+
+
+def column_ones(words: np.ndarray, bits: int) -> np.ndarray:
+    """One bits per significance of each row of ``(rows, n)`` unsigned words.
+
+    Returns an ``int64`` array of shape ``(rows, bits)``, most significant bit
+    first: the column sums of the rows' bit planes, counted one significance
+    at a time so the ``(rows, n, bits)`` planes are never built.
+    """
+    # Summing down the transposed words adds whole contiguous vectors (much
+    # faster than many short row reductions), and a count never exceeds the
+    # row length n, so it accumulates in the smallest type that holds n.
+    columns = np.ascontiguousarray(words.T)
+    accumulator = np.min_scalar_type(columns.shape[0])
+    counts = np.empty((bits, columns.shape[1]), dtype=np.int64)
+    for column in range(bits):
+        counts[column] = ((columns >> (bits - 1 - column)) & 1).sum(axis=0, dtype=accumulator)
+    return counts.T

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .area_power import PEDesign, pragmatic_pe
-from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_bitplanes
+from .common import BitSerialAccelerator, GroupCycleStats, unsigned_words
 from ..nn.synthetic import LayerWeights
 
 __all__ = ["PragmaticAccelerator"]
@@ -39,8 +38,8 @@ class PragmaticAccelerator(BitSerialAccelerator):
         group_size = self.array.pe_group_size
         weights_per_lane = max(1, group_size // lanes)
 
-        planes = to_bitplanes(groups, self.weight_bits)  # (G, group, bits)
-        ones_per_weight = planes.sum(axis=2)  # (G, group)
+        words = unsigned_words(groups, self.weight_bits)
+        ones_per_weight = np.bitwise_count(words).astype(np.int64)  # (G, group)
         # Each lane serially handles `weights_per_lane` weights of the group;
         # the PE finishes when its busiest lane does.
         lane_view = ones_per_weight[:, : lanes * weights_per_lane].reshape(

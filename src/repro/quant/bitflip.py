@@ -52,15 +52,15 @@ class BitFlipResult(ReconstructionMetricsMixin):
         were dropped; we charge the same 8 bits per compressed group as BBS so
         the footprint comparison is apples-to-apples.
         """
-        total = 0
-        channels, num_groups = self.inherent_zero_columns.shape
-        for channel in range(channels):
-            for _group in range(num_groups):
-                if self.pruned_channel_mask[channel]:
-                    total += group_storage_bits(self.group_size, self.num_columns, self.bits)
-                else:
-                    total += self.group_size * self.bits
-        return total
+        num_groups = self.inherent_zero_columns.shape[1]
+        pruned = int(np.count_nonzero(self.pruned_channel_mask))
+        sensitive = self.pruned_channel_mask.size - pruned
+        per_channel_row = sensitive * self.group_size * self.bits
+        if pruned:
+            per_channel_row += pruned * group_storage_bits(
+                self.group_size, self.num_columns, self.bits
+            )
+        return num_groups * per_channel_row
 
     def effective_bits(self) -> float:
         channels, num_groups = self.inherent_zero_columns.shape
@@ -98,7 +98,35 @@ def bitflip_group(group: np.ndarray, num_columns: int, bits: int = 8) -> tuple[n
 def _bitflip_batch(
     groups: np.ndarray, num_columns: int, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized zero-column pruning over ``(num_groups, group_size)`` groups."""
+    """Vectorized zero-column pruning over ``(num_groups, group_size)`` groups.
+
+    Works on the magnitudes directly: a group's inherent zero columns are the
+    magnitude columns above the bit length of the OR of its magnitudes, and
+    force-flipping the ``forced`` least significant columns is a mask.
+    Bit-identical to :func:`_bitflip_batch_reference`.
+    """
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    groups = np.asarray(groups, dtype=np.int64)
+    if groups.size and (int(groups.min()) < lo or int(groups.max()) > hi):
+        # Out-of-range input: let the plane-based path raise its error.
+        return _bitflip_batch_reference(groups, num_columns, bits)
+    groups = np.where(groups == lo, lo + 1, groups)  # -128 has no sign-magnitude form
+    magnitude = np.abs(groups)
+    magnitude_or = np.bitwise_or.reduce(magnitude, axis=1)
+    # frexp's exponent of a positive integer is its bit length (0 for 0).
+    bit_length = np.frexp(magnitude_or.astype(np.float64))[1].astype(np.int64)
+    inherent = np.minimum(bits - 1 - bit_length, num_columns)
+    forced = num_columns - inherent
+
+    keep_mask = ~((np.int64(1) << forced) - 1)
+    values = np.sign(groups) * (magnitude & keep_mask[:, None])
+    return values, inherent, forced
+
+
+def _bitflip_batch_reference(
+    groups: np.ndarray, num_columns: int, bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plane-based zero-column pruning; the oracle for :func:`_bitflip_batch`."""
     lo = -(1 << (bits - 1))
     groups = np.where(groups == lo, lo + 1, groups)  # -128 has no sign-magnitude form
     planes = to_sign_magnitude_planes(groups, bits)  # (G, N, bits), col 0 = sign

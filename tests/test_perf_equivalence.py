@@ -1,14 +1,18 @@
-"""Golden-equivalence tests for the performance work of PR 2.
+"""Golden-equivalence tests for the harness's performance layers.
 
-The batched zero-point search and the artifact memo are pure optimizations:
-they must return *bit-identical* results to the original implementations.
-These tests pin that property across random shapes, pruning budgets, word
-widths, and degenerate inputs, using the kept reference implementation
-(:func:`repro.core.zero_point_shift.zero_point_shift_groups_reference`) as
-the oracle.
+The batched zero-point search, the artifact memo and the plane-free bit
+counting of the bit-flip pass and the bit-serial simulators are pure
+optimizations: they must return *bit-identical* results to the original
+implementations.  These tests pin that property across random shapes,
+pruning budgets, word widths, and degenerate inputs, using kept reference
+implementations (:func:`repro.core.zero_point_shift.zero_point_shift_groups_reference`,
+:func:`repro.quant.bitflip._bitflip_batch_reference`) or inline bit-plane
+computations as the oracles.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +31,23 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
 )
-from repro.nn.model_zoo import get_model
-from repro.nn.synthetic import synthesize_model
+from repro.accelerators import (
+    BitletAccelerator,
+    BitVertAccelerator,
+    BitWaveAccelerator,
+    PragmaticAccelerator,
+)
+from repro.core.bitplane import to_bitplanes, to_sign_magnitude_planes
+from repro.core.encoding import group_storage_bits
+from repro.nn.model_zoo import LinearSpec, get_model
+from repro.nn.synthetic import LayerWeights, synthesize_model
+from repro.quant import bitflip as bitflip_module
+from repro.quant.bitflip import (
+    _bitflip_batch,
+    _bitflip_batch_reference,
+    bitflip_tensor,
+)
+from repro.quant.ptq import QuantizedTensor
 
 
 def assert_search_matches(groups: np.ndarray, num_columns: int, bits: int = 8) -> None:
@@ -237,3 +256,257 @@ class TestCrossExperimentMemoization:
         stats = memo_stats()["tensors"]
         assert stats["hits"] == 0 and stats["misses"] == 0 and stats["stores"] == 0
         assert get_memo().enabled  # the context manager restored the flag
+
+
+# --------------------------------------------------------------------------- #
+# Plane-free bit counting: BitWave bit-flip and the bit-serial simulators
+# --------------------------------------------------------------------------- #
+
+
+def assert_bitflip_matches(groups: np.ndarray, num_columns: int, bits: int) -> None:
+    reference = _bitflip_batch_reference(groups, num_columns, bits)
+    fast = _bitflip_batch(groups, num_columns, bits)
+    for name, ref, new in zip(("values", "inherent", "forced"), reference, fast, strict=True):
+        assert new.dtype == ref.dtype, name
+        assert np.array_equal(new, ref), f"{name} diverged from the reference"
+
+
+@st.composite
+def bitflip_cases(draw) -> tuple[np.ndarray, int, int]:
+    bits = draw(st.integers(3, 8))
+    num_columns = draw(st.integers(0, bits - 1))
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    num_groups = draw(st.integers(1, 10))
+    group_size = draw(st.integers(1, 20))
+    # Narrow magnitudes as well as full-range ones, so groups with many
+    # inherent zero columns are common.
+    limit = draw(st.integers(0, hi))
+    flat = draw(
+        st.lists(
+            st.integers(-limit, limit) | st.just(lo),
+            min_size=num_groups * group_size,
+            max_size=num_groups * group_size,
+        )
+    )
+    groups = np.array(flat, dtype=np.int64).reshape(num_groups, group_size)
+    return groups, num_columns, bits
+
+
+class TestBitflipBatchEquivalence:
+    @given(bitflip_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_property_bit_identical(self, case):
+        assert_bitflip_matches(*case)
+
+    @pytest.mark.parametrize("bits", range(3, 9))
+    def test_every_code_point_every_budget(self, bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        singles = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+        pairs = np.stack([singles[:, 0], singles[::-1, 0]], axis=1)
+        for num_columns in range(bits):
+            assert_bitflip_matches(singles, num_columns, bits)
+            assert_bitflip_matches(pairs, num_columns, bits)
+
+    def test_empty_and_all_zero_groups(self):
+        assert_bitflip_matches(np.empty((0, 8), dtype=np.int64), 3, 8)
+        assert_bitflip_matches(np.zeros((3, 8), dtype=np.int64), 7, 8)
+
+    def test_out_of_range_inputs_raise_like_the_reference(self):
+        for groups in ([[200, 1]], [[-129, 1]]):
+            groups = np.array(groups, dtype=np.int64)
+            with pytest.raises(ValueError):
+                _bitflip_batch_reference(groups, 3, 8)
+            with pytest.raises(ValueError):
+                _bitflip_batch(groups, 3, 8)
+
+    @pytest.mark.parametrize("num_columns", [1, 3, 5])
+    def test_bitflip_tensor_bit_identical(self, num_columns):
+        rng = np.random.default_rng(num_columns)
+        weights = np.clip(np.round(rng.normal(0, 24, (24, 100))), -128, 127).astype(np.int64)
+        weights[3, 7] = -128
+        sensitive = rng.random(24) < 0.25
+        fast = bitflip_tensor(weights, num_columns, sensitive_channels=sensitive)
+        with mock.patch.object(bitflip_module, "_bitflip_batch", _bitflip_batch_reference):
+            reference = bitflip_tensor(weights, num_columns, sensitive_channels=sensitive)
+        assert np.array_equal(fast.values, reference.values)
+        assert np.array_equal(fast.inherent_zero_columns, reference.inherent_zero_columns)
+        assert np.array_equal(fast.forced_zero_columns, reference.forced_zero_columns)
+
+
+def storage_bits_loop(result) -> int:
+    """The per-channel, per-group loop that ``storage_bits`` replaced."""
+    total = 0
+    channels, num_groups = result.inherent_zero_columns.shape
+    for channel in range(channels):
+        for _group in range(num_groups):
+            if result.pruned_channel_mask[channel]:
+                total += group_storage_bits(result.group_size, result.num_columns, result.bits)
+            else:
+                total += result.group_size * result.bits
+    return total
+
+
+class TestBitflipStorageBits:
+    @pytest.mark.parametrize("num_columns", [0, 3, 7])
+    @pytest.mark.parametrize("group_size", [16, 32])
+    def test_closed_form_matches_loop_on_mixed_mask(self, num_columns, group_size):
+        rng = np.random.default_rng(5)
+        weights = np.clip(np.round(rng.normal(0, 24, (20, 90))), -128, 127).astype(np.int64)
+        sensitive = np.zeros(20, dtype=bool)
+        sensitive[[0, 4, 5, 13]] = True
+        result = bitflip_tensor(
+            weights, num_columns, group_size=group_size, sensitive_channels=sensitive
+        )
+        bits = result.storage_bits()
+        assert type(bits) is int
+        assert bits == storage_bits_loop(result)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_closed_form_matches_loop_on_uniform_masks(self, fraction):
+        weights = np.arange(-60, 60, dtype=np.int64).reshape(4, 30)
+        sensitive = np.full(4, fraction == 1.0)
+        result = bitflip_tensor(weights, 3, group_size=8, sensitive_channels=sensitive)
+        assert result.storage_bits() == storage_bits_loop(result)
+
+
+def make_layer(int_weights: np.ndarray, seed: int) -> LayerWeights:
+    channels, reduction = int_weights.shape
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.01, 0.1, channels)
+    return LayerWeights(
+        spec=LinearSpec(f"layer{seed}", in_features=reduction, out_features=channels),
+        quantized=QuantizedTensor(
+            values=int_weights, scales=scales, bits=8, per_channel=True
+        ),
+        float_weights=int_weights * scales[:, None],
+        sample_fraction=1.0,
+    )
+
+
+@st.composite
+def simulator_layers(draw) -> LayerWeights:
+    """Small INT8 layers; reductions cover whole PE groups (16), a ragged
+    tail, and a reduction narrower than one group (the padding branch)."""
+    channels = draw(st.integers(1, 12))
+    reduction = draw(st.sampled_from([5, 9, 15, 16, 37, 64, 70, 100]))
+    sigma = draw(st.sampled_from([1.0, 8.0, 30.0, 90.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = np.clip(np.round(rng.normal(0, sigma, (channels, reduction))), -128, 127)
+    weights = weights.astype(np.int64)
+    weights.flat[rng.integers(0, weights.size, 2)] = [-128, 127]
+    return make_layer(weights, seed % 1000)
+
+
+def assert_stats_equal(fast, actual, minimal, partition=None) -> None:
+    assert np.array_equal(fast.actual, actual)
+    assert np.array_equal(fast.minimal, minimal)
+    if partition is None:
+        assert fast.partition is None
+    else:
+        assert np.array_equal(fast.partition, partition)
+
+
+def pragmatic_oracle(accel: PragmaticAccelerator, layer: LayerWeights):
+    groups = accel.layer_groups(layer)
+    lanes = accel.array.lanes_per_pe
+    weights_per_lane = max(1, accel.array.pe_group_size // lanes)
+    ones_per_weight = to_bitplanes(groups, 8).sum(axis=2)
+    lane_view = ones_per_weight[:, : lanes * weights_per_lane].reshape(
+        groups.shape[0], lanes, weights_per_lane
+    )
+    actual = np.maximum(lane_view.sum(axis=2).max(axis=1).astype(np.float64), 1.0)
+    minimal = np.ceil(ones_per_weight.sum(axis=1) / lanes).astype(np.float64)
+    return actual, np.minimum(np.maximum(minimal, 1.0), actual)
+
+
+def bitlet_oracle(accel: BitletAccelerator, layer: LayerWeights):
+    ones = to_bitplanes(accel.layer_groups(layer), 8).sum(axis=1)  # (G, bits)
+    actual = np.maximum(ones.max(axis=1).astype(np.float64), 1.0)
+    minimal = np.ceil(ones.sum(axis=1) / accel.array.lanes_per_pe).astype(np.float64)
+    return actual, np.minimum(np.maximum(minimal, 1.0), actual)
+
+
+def bitwave_oracle(accel: BitWaveAccelerator, layer: LayerWeights):
+    with mock.patch.object(bitflip_module, "_bitflip_batch", _bitflip_batch_reference):
+        pruned = accel._pruned_weights(layer)
+    group = accel.array.pe_group_size
+    channels, reduction = pruned.shape
+    padded = np.zeros((channels, max(reduction, group)), dtype=pruned.dtype)
+    padded[:, :reduction] = pruned
+    usable = max(reduction - reduction % group, group)
+    groups = padded[:, :usable].reshape(-1, group)
+    planes = to_sign_magnitude_planes(np.where(groups == -128, -127, groups), 8)
+    kept = np.maximum(planes.any(axis=1).sum(axis=1), 1)
+    actual = kept.astype(np.float64) * (group / accel.array.lanes_per_pe)
+    minimal = np.ceil(planes.sum(axis=(1, 2)) / accel.array.lanes_per_pe)
+    return actual, np.minimum(np.maximum(minimal, 1.0), actual)
+
+
+def bitvert_minimal_oracle(accel: BitVertAccelerator, values: np.ndarray) -> np.ndarray:
+    group = accel.array.pe_group_size
+    channels, reduction = values.shape
+    padded = np.zeros((channels, max(reduction, group)), dtype=np.int64)
+    padded[:, :reduction] = np.clip(values, -128, 127)
+    usable = max(reduction - reduction % group, group)
+    planes = to_bitplanes(padded[:, :usable].reshape(-1, group), 8)
+    per_sub = planes.reshape(planes.shape[0], -1, accel.sub_group, 8)
+    ones = per_sub.sum(axis=2)
+    effectual = np.minimum(ones, accel.sub_group - ones).sum(axis=(1, 2))
+    return np.maximum(np.ceil(effectual / accel.array.lanes_per_pe), 1.0)
+
+
+class TestSimulatorBitCountingEquivalence:
+    @given(simulator_layers())
+    @settings(max_examples=40, deadline=None)
+    def test_pragmatic_matches_planes(self, layer):
+        accel = PragmaticAccelerator()
+        assert_stats_equal(accel.group_cycle_stats(layer), *pragmatic_oracle(accel, layer))
+
+    @given(simulator_layers())
+    @settings(max_examples=40, deadline=None)
+    def test_bitlet_matches_planes(self, layer):
+        accel = BitletAccelerator()
+        assert_stats_equal(accel.group_cycle_stats(layer), *bitlet_oracle(accel, layer))
+
+    @given(simulator_layers(), st.integers(0, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwave_matches_planes(self, layer, pruned_columns):
+        accel = BitWaveAccelerator(pruned_columns=pruned_columns)
+        actual, minimal = bitwave_oracle(accel, layer)
+        stats = accel.group_cycle_stats(layer)
+        partition = accel._group_partition(layer)
+        assert_stats_equal(
+            stats, actual, minimal, partition if partition.size == actual.size else None
+        )
+
+    @given(simulator_layers(), st.sampled_from([4, 8, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_bitvert_matches_planes(self, layer, sub_group):
+        accel = BitVertAccelerator(sub_group=sub_group)
+        stats = accel.group_cycle_stats(layer)
+        values = accel._layer_compression(layer).values
+        oracle = bitvert_minimal_oracle(accel, values)
+        assert np.array_equal(accel._minimal_cycles(values, accel.array.lanes_per_pe), oracle)
+        expected = np.minimum(accel._match_group_counts(stats.actual, oracle), stats.actual)
+        assert np.array_equal(stats.minimal, expected)
+
+    @pytest.mark.parametrize("reduction", [7, 48, 53])
+    def test_full_int8_range_every_simulator(self, reduction):
+        # Every code point appears, so every bit of every significance is hit.
+        codes = np.resize(np.arange(-128, 128, dtype=np.int64), 12 * reduction)
+        layer = make_layer(codes.reshape(12, reduction), reduction)
+        pragmatic, bitlet = PragmaticAccelerator(), BitletAccelerator()
+        assert_stats_equal(pragmatic.group_cycle_stats(layer), *pragmatic_oracle(pragmatic, layer))
+        assert_stats_equal(bitlet.group_cycle_stats(layer), *bitlet_oracle(bitlet, layer))
+        bitwave = BitWaveAccelerator(pruned_columns=0, sensitive_fraction=0.0)
+        stats = bitwave.group_cycle_stats(layer)
+        actual, minimal = bitwave_oracle(bitwave, layer)
+        assert np.array_equal(stats.actual, actual)
+        assert np.array_equal(stats.minimal, minimal)
+        for sub_group in (4, 8, 16):
+            bitvert = BitVertAccelerator(sub_group=sub_group)
+            assert np.array_equal(
+                bitvert._minimal_cycles(layer.int_weights, 8),
+                bitvert_minimal_oracle(bitvert, layer.int_weights),
+            )
