@@ -40,6 +40,7 @@ from repro.core.zero_point_shift import (
 from repro.eval.experiments import figure6_kl_divergence
 from repro.quant import bitflip as bitflip_module
 from repro.quant.bitflip import _bitflip_batch_reference, bitflip_tensor
+from repro.quant.ptq import _optimal_clip_scale_reference, optimal_clip_scale
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,26 @@ def test_bench_bitflip_tensor_reference(benchmark, weight_matrix):
     with mock.patch.object(bitflip_module, "_bitflip_batch", _bitflip_batch_reference):
         result = benchmark(bitflip_tensor, weight_matrix, 3)
     assert np.array_equal(result.values, bitflip_tensor(weight_matrix, 3).values)
+
+
+@pytest.fixture(scope="module")
+def float_channels() -> np.ndarray:
+    return np.random.default_rng(0).normal(0, 1, (32, 768))
+
+
+def test_bench_optimal_clip_scale(benchmark, float_channels):
+    scales = benchmark(optimal_clip_scale, float_channels, 4)
+    assert scales.shape == (32,)
+
+
+def test_bench_optimal_clip_scale_reference(benchmark, float_channels):
+    """The original one-channel candidate loop over every row, for trajectory."""
+
+    def per_row():
+        return np.array([_optimal_clip_scale_reference(row, 4) for row in float_channels])
+
+    scales = benchmark.pedantic(per_row, rounds=3, iterations=1)
+    assert scales.tobytes() == optimal_clip_scale(float_channels, 4).tobytes()
 
 
 def test_bench_global_pruning(benchmark, weight_matrix):

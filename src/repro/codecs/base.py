@@ -294,7 +294,7 @@ class Codec:
 
 
 def as_weight_matrix(tensor: Any) -> np.ndarray:
-    """Validate codec input: a 2-D ``(channels, reduction)`` numeric matrix."""
+    """Validate codec input: a 2-D ``(channels, reduction)`` finite numeric matrix."""
     tensor = np.asarray(tensor)
     if tensor.ndim != 2:
         raise CodecError(f"expected a 2-D (channels, reduction) matrix, got {tensor.shape}")
@@ -305,6 +305,13 @@ def as_weight_matrix(tensor: Any) -> np.ndarray:
         or np.issubdtype(tensor.dtype, np.floating)
     ):
         raise CodecError(f"expected a numeric matrix, got dtype {tensor.dtype}")
+    if np.issubdtype(tensor.dtype, np.floating):
+        finite = np.isfinite(tensor)
+        if not finite.all():
+            index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), tensor.shape))
+            raise CodecError(
+                f"expected finite values, got {tensor[index]} at index {index}"
+            )
     return tensor
 
 

@@ -74,14 +74,59 @@ def _quant_bounds(bits: int) -> tuple[int, int]:
 
 def optimal_clip_scale(
     channel: np.ndarray, bits: int, num_candidates: int = 100
-) -> float:
-    """MSE-optimal symmetric clipping scale for one weight channel.
+) -> float | np.ndarray:
+    """MSE-optimal symmetric clipping scale for one or many weight channels.
 
-    Sweeps ``num_candidates`` clip thresholds between 20 % and 100 % of the
+    Sweeps ``num_candidates`` clip thresholds between 20 % and 100 % of each
     channel's max absolute value and returns the scale (step size) that
     minimizes the reconstruction MSE.  This is the standard MSE calibration
     used by per-channel PTQ frameworks (e.g. TensorRT-style calibration).
+
+    A 1-D ``channel`` returns a Python ``float``; a 2-D ``(channels,
+    reduction)`` matrix returns a ``(channels,)`` float64 array with one
+    scale per row.  All-zero and zero-width rows get a scale of 1.0.
+
+    The loop runs over the candidates, each scoring every row at once; it
+    deliberately does not broadcast a ``(candidates, channels, reduction)``
+    cube, whose temporaries would dominate peak memory on realistic layers.
+    Results are bit-identical to :func:`_optimal_clip_scale_reference` row
+    by row (``np.argmin`` keeps the first minimum, like its strict ``<``).
     """
+    matrix = np.asarray(channel, dtype=np.float64)
+    if matrix.ndim <= 1:
+        return float(optimal_clip_scale(matrix.reshape(1, -1), bits, num_candidates)[0])
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a channel or (channels, reduction), got {matrix.shape}")
+    qmin, qmax = _quant_bounds(bits)
+    best = np.ones(matrix.shape[0])
+    max_abs = np.max(np.abs(matrix), axis=1, initial=0.0)
+    active = max_abs > 0
+    if not active.any():
+        return best
+    # Boolean indexing copies the rows C-contiguous, so every row mean is a
+    # contiguous pairwise sum: the summation order of the 1-D reference.
+    rows = matrix[active]
+    max_abs = max_abs[active]
+    fractions = np.linspace(0.2, 1.0, num_candidates)
+    errors = np.empty((num_candidates, rows.shape[0]))
+    work = np.empty_like(rows)
+    for index, fraction in enumerate(fractions):
+        step = (fraction * max_abs / qmax)[:, None]
+        np.divide(rows, step, out=work)
+        np.round(work, out=work)
+        np.clip(work, qmin, qmax, out=work)
+        np.multiply(work, step, out=work)
+        np.subtract(work, rows, out=work)
+        np.square(work, out=work)
+        errors[index] = np.mean(work, axis=1)
+    best[active] = fractions[np.argmin(errors, axis=0)] * max_abs / qmax
+    return best
+
+
+def _optimal_clip_scale_reference(
+    channel: np.ndarray, bits: int, num_candidates: int = 100
+) -> float:
+    """The original one-channel candidate loop (golden oracle for tests)."""
     channel = np.asarray(channel, dtype=np.float64)
     max_abs = float(np.max(np.abs(channel))) if channel.size else 0.0
     if max_abs == 0.0:
@@ -121,9 +166,7 @@ def quantize_per_channel(
         raise ValueError(f"expected (channels, reduction), got {weights.shape}")
     qmin, qmax = _quant_bounds(bits)
     if calibrate:
-        scales = np.array(
-            [optimal_clip_scale(channel, bits) for channel in weights]
-        )
+        scales = optimal_clip_scale(weights, bits)
     else:
         max_abs = np.max(np.abs(weights), axis=1)
         scales = np.where(max_abs > 0, max_abs / qmax, 1.0)
@@ -189,21 +232,19 @@ def requantize_to_lower_bits(
             )
 
     qmin, qmax = _quant_bounds(target_bits)
+    lo, hi = _quant_bounds(quantized.bits)
+    kept = ~sensitive
+    rows = values[kept]
+    if calibrate:
+        steps = optimal_clip_scale(rows, target_bits)
+    else:
+        max_abs = np.max(np.abs(rows), axis=1, initial=0.0)
+        steps = np.where(max_abs > 0, max_abs / qmax, 1.0)
+    codes = np.clip(np.round(rows / steps[:, None]), qmin, qmax)
+    # Express the coarse codes back in the original integer domain.
+    reconstructed = np.round(codes * steps[:, None])
     new_values = quantized.values.copy()
-    for channel in range(channels):
-        if sensitive[channel]:
-            continue
-        row = values[channel]
-        if calibrate:
-            step = optimal_clip_scale(row, target_bits)
-        else:
-            max_abs = float(np.max(np.abs(row))) if row.size else 0.0
-            step = max_abs / qmax if max_abs > 0 else 1.0
-        codes = np.clip(np.round(row / step), qmin, qmax)
-        # Express the coarse codes back in the original integer domain.
-        reconstructed = np.round(codes * step)
-        lo, hi = _quant_bounds(quantized.bits)
-        new_values[channel] = np.clip(reconstructed, lo, hi).astype(np.int64)
+    new_values[kept] = np.clip(reconstructed, lo, hi).astype(np.int64)
 
     return QuantizedTensor(
         values=new_values,

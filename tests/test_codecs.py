@@ -95,6 +95,20 @@ class TestCodecInvariants:
         with pytest.raises(CodecError):
             run_codec("ptq", np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("name", [*DIRECT_CODECS, "pipeline"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_with_its_index(self, name, bad):
+        tensor = float_tensor()
+        tensor[3, 5] = bad
+        tensor[7, 1] = np.nan
+        params = (
+            {"stages": [{"codec": "prune"}, {"codec": "ptq", "params": {"bits": 4}}]}
+            if name == "pipeline"
+            else {}
+        )
+        with pytest.raises(CodecError, match=r"finite values, got -?(nan|inf) at index \(3, 5\)"):
+            run_codec(name, tensor, params)
+
     def test_ptq_reconstructs_wide_integer_inputs_at_magnitude(self):
         # Integer inputs wider than int8 must reconstruct at their real
         # magnitude (per-channel scales carry it), not be crushed to ±127.

@@ -1,12 +1,14 @@
 """Golden-equivalence tests for the harness's performance layers.
 
-The batched zero-point search, the artifact memo and the plane-free bit
-counting of the bit-flip pass and the bit-serial simulators are pure
-optimizations: they must return *bit-identical* results to the original
-implementations.  These tests pin that property across random shapes,
-pruning budgets, word widths, and degenerate inputs, using kept reference
-implementations (:func:`repro.core.zero_point_shift.zero_point_shift_groups_reference`,
-:func:`repro.quant.bitflip._bitflip_batch_reference`) or inline bit-plane
+The batched zero-point search, the artifact memo, the plane-free bit
+counting of the bit-flip pass and the bit-serial simulators, and the
+channel-batched MSE-optimal clipping search are pure optimizations: they must
+return *bit-identical* results to the original implementations.  These tests
+pin that property across random shapes, pruning budgets, word widths, and
+degenerate inputs, using kept reference implementations
+(:func:`repro.core.zero_point_shift.zero_point_shift_groups_reference`,
+:func:`repro.quant.bitflip._bitflip_batch_reference`,
+:func:`repro.quant.ptq._optimal_clip_scale_reference`) or inline bit-plane
 computations as the oracles.
 """
 
@@ -47,7 +49,13 @@ from repro.quant.bitflip import (
     _bitflip_batch_reference,
     bitflip_tensor,
 )
-from repro.quant.ptq import QuantizedTensor
+from repro.quant.ptq import (
+    QuantizedTensor,
+    _optimal_clip_scale_reference,
+    optimal_clip_scale,
+    quantize_per_channel,
+    requantize_to_lower_bits,
+)
 
 
 def assert_search_matches(groups: np.ndarray, num_columns: int, bits: int = 8) -> None:
@@ -510,3 +518,145 @@ class TestSimulatorBitCountingEquivalence:
                 bitvert._minimal_cycles(layer.int_weights, 8),
                 bitvert_minimal_oracle(bitvert, layer.int_weights),
             )
+
+
+# --------------------------------------------------------------------------- #
+# Channel-batched MSE-optimal clipping (the Figure 11/16 PTQ baseline)
+# --------------------------------------------------------------------------- #
+
+ROW_KINDS = ("integer", "gaussian", "outlier", "zero", "constant")
+
+
+def make_row(kind: str, cols: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "integer":
+        return np.round(rng.normal(0, rng.uniform(1, 60), cols))
+    if kind == "gaussian":
+        return rng.normal(0, rng.uniform(1e-3, 10), cols)
+    if kind == "outlier":
+        row = rng.normal(0, 1, cols)
+        if cols:
+            row[rng.integers(cols)] = rng.choice([-1, 1]) * rng.uniform(20, 200)
+        return row
+    if kind == "zero":
+        return np.zeros(cols)
+    # Every candidate clips a constant row the same way, so the search ties.
+    return np.full(cols, rng.uniform(-5, 5))
+
+
+@st.composite
+def clip_matrices(draw) -> tuple[np.ndarray, int]:
+    bits = draw(st.integers(2, 8))
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(0, 300))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.array([make_row(kind, cols, rng) for kind in kinds]).reshape(rows, cols)
+    return matrix, bits
+
+
+def reference_scales(matrix: np.ndarray, bits: int) -> np.ndarray:
+    return np.array(
+        [_optimal_clip_scale_reference(row, bits) for row in matrix], dtype=np.float64
+    )
+
+
+def requantize_oracle(quantized, target_bits, sensitive, calibrate) -> np.ndarray:
+    """The original per-row re-quantization loop."""
+    values = quantized.values.astype(np.float64)
+    qmin, qmax = -(1 << (target_bits - 1)), (1 << (target_bits - 1)) - 1
+    lo, hi = -(1 << (quantized.bits - 1)), (1 << (quantized.bits - 1)) - 1
+    new_values = quantized.values.copy()
+    for channel, row in enumerate(values):
+        if sensitive is not None and sensitive[channel]:
+            continue
+        if calibrate:
+            step = _optimal_clip_scale_reference(row, target_bits)
+        else:
+            max_abs = float(np.max(np.abs(row))) if row.size else 0.0
+            step = max_abs / qmax if max_abs > 0 else 1.0
+        codes = np.clip(np.round(row / step), qmin, qmax)
+        new_values[channel] = np.clip(np.round(codes * step), lo, hi).astype(np.int64)
+    return new_values
+
+
+class TestOptimalClipScaleEquivalence:
+    @given(clip_matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_property_rows_bit_identical(self, case):
+        matrix, bits = case
+        fast = optimal_clip_scale(matrix, bits)
+        assert isinstance(fast, np.ndarray)
+        assert fast.dtype == np.float64 and fast.shape == (matrix.shape[0],)
+        assert fast.tobytes() == reference_scales(matrix, bits).tobytes()
+
+    @given(clip_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_one_dimensional_input_returns_the_reference_float(self, case):
+        matrix, bits = case
+        for row in matrix[:3]:
+            fast = optimal_clip_scale(row, bits)
+            assert type(fast) is float
+            assert fast == _optimal_clip_scale_reference(row, bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_degenerate_shapes(self, bits):
+        assert optimal_clip_scale(np.zeros((0, 16)), bits).shape == (0,)
+        assert np.array_equal(optimal_clip_scale(np.zeros((3, 0)), bits), np.ones(3))
+        assert np.array_equal(optimal_clip_scale(np.zeros((2, 5)), bits), np.ones(2))
+        assert optimal_clip_scale(np.zeros(0), bits) == 1.0
+        assert optimal_clip_scale(np.zeros(7), bits) == 1.0
+
+    def test_layer_sized_matrix_bit_identical(self):
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_t(3, (96, 768))
+        matrix[5] = 0.0
+        matrix[9, 100] = 80.0
+        for bits in (4, 6):
+            assert (
+                optimal_clip_scale(matrix, bits).tobytes()
+                == reference_scales(matrix, bits).tobytes()
+            )
+
+    @given(clip_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_quantize_per_channel_calibrated_matches_per_row(self, case):
+        matrix, bits = case
+        quantized = quantize_per_channel(matrix, bits=bits, calibrate=True)
+        scales = reference_scales(matrix, bits)
+        qmin, qmax = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        codes = np.clip(np.round(matrix / scales[:, None]), qmin, qmax).astype(np.int64)
+        assert quantized.scales.tobytes() == scales.tobytes()
+        assert np.array_equal(quantized.values, codes)
+
+    @pytest.mark.parametrize("calibrate", [True, False])
+    @pytest.mark.parametrize("mask", ["none", "mixed", "all"])
+    @pytest.mark.parametrize("target_bits", [2, 4, 5, 7])
+    def test_requantize_matches_per_row_loop(self, calibrate, mask, target_bits):
+        rng = np.random.default_rng(target_bits)
+        codes = np.clip(np.round(rng.normal(0, 30, (24, 96))), -128, 127).astype(np.int64)
+        codes[2] = 0
+        codes[3] = 17
+        codes[4, 10] = -128
+        quantized = QuantizedTensor(
+            values=codes, scales=rng.uniform(0.01, 0.1, 24), bits=8, per_channel=True
+        )
+        sensitive = {
+            "none": None,
+            "mixed": rng.random(24) < 0.3,
+            "all": np.ones(24, dtype=bool),
+        }[mask]
+        fast = requantize_to_lower_bits(
+            quantized, target_bits, sensitive_channels=sensitive, calibrate=calibrate
+        )
+        expected = requantize_oracle(quantized, target_bits, sensitive, calibrate)
+        assert fast.values.dtype == expected.dtype
+        assert np.array_equal(fast.values, expected)
+        assert fast.scales.tobytes() == quantized.scales.tobytes()
+
+    def test_requantize_zero_width_rows(self):
+        quantized = QuantizedTensor(
+            values=np.zeros((3, 0), dtype=np.int64), scales=np.ones(3), bits=8, per_channel=True
+        )
+        for calibrate in (True, False):
+            result = requantize_to_lower_bits(quantized, 4, calibrate=calibrate)
+            assert result.values.shape == (3, 0)
