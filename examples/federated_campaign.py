@@ -1,10 +1,12 @@
 """Federated campaign dispatch: one campaign fanned out over two serve nodes.
 
 By default the script self-hosts two in-process service nodes on ephemeral
-ports, dispatches a small quantization campaign across them, runs the same
-campaign locally, and proves the two reports are byte-identical — the
-property that makes federation transparent.  Point it at real nodes
-(``python -m repro.cli serve`` on each machine) with ``--nodes``::
+ports, dispatches a small quantization campaign across them (through the
+dispatcher's in-process gateway, which admits both nodes and routes each
+cell by content digest), runs the same campaign locally, and proves the two
+reports are byte-identical — the property that makes federation
+transparent.  Point it at real nodes (``python -m repro.cli serve`` on each
+machine) with ``--nodes``::
 
     PYTHONPATH=src python examples/federated_campaign.py
     PYTHONPATH=src python examples/federated_campaign.py \
@@ -63,8 +65,8 @@ def main() -> int:
         print(f"\ndispatched {stats['executed']} cell(s) "
               f"in {stats['elapsed_seconds']:.2f}s:")
         for node in stats["nodes"]:
-            state = "ok" if node["alive"] else f"lost ({node['reason']})"
-            print(f"  {node['url']}: {node['completed']} cell(s) — {state}")
+            reason = f" ({node['reason']})" if node["reason"] else ""
+            print(f"  {node['url']}: {node['state']}{reason}")
 
         local = CampaignRunner(spec, scratch / "local", jobs=2)
         local.run()

@@ -4,9 +4,10 @@
 Two in-process serve nodes run the same small campaign twice — once directly
 (the fault-free reference) and once through a :class:`repro.chaos.ChaosProxy`
 per node injecting connection resets, added latency, and forced 429s with a
-pinned seed.  The dispatched report must come out byte-identical to the
-reference: every injected fault is absorbed by retries, circuit breaking, and
-Retry-After pacing, never by changing results.
+pinned seed.  The proxies sit between the dispatcher's in-process gateway and
+the nodes.  The dispatched report must come out byte-identical to the
+reference: every injected fault is absorbed by the gateway's retries, health
+pulls and failover and by Retry-After pacing, never by changing results.
 
 A second stage corrupts a job journal three ways (mid-file garbage, a torn
 final record, a checksum mismatch) and proves replay quarantines the bad
@@ -34,7 +35,6 @@ from repro.service import (  # noqa: E402
     WorkerPool,
     create_server,
 )
-from repro.service.client import ServiceClient  # noqa: E402
 
 SPEC = {
     "name": "chaos-smoke",
@@ -56,18 +56,8 @@ SPEC = {
 }
 
 
-def resilient_client(url: str, **kwargs) -> ServiceClient:
-    kwargs.setdefault("retries", 8)
-    kwargs.setdefault("backoff", 0.01)
-    kwargs.setdefault("timeout", 60.0)
-    return ServiceClient(url, **kwargs)
-
-
 def dispatch(endpoints: list[str], run_dir: Path) -> dict:
-    dispatcher = CampaignDispatcher(
-        parse_spec(SPEC), endpoints, run_dir,
-        poll_interval=0.02, client_factory=resilient_client,
-    )
+    dispatcher = CampaignDispatcher(parse_spec(SPEC), endpoints, run_dir, poll_interval=0.02)
     return dispatcher.run()
 
 

@@ -11,8 +11,9 @@ strict-JSON report plus a CSV table.
 
 * :mod:`repro.campaign.spec` — spec parsing, validation, grid expansion.
 * :mod:`repro.campaign.runner` — sharded execution, checkpoints, resume.
-* :mod:`repro.campaign.dispatch` — federated execution across remote
-  ``repro serve`` nodes, byte-identical to a local run.
+* :mod:`repro.campaign.dispatch` — federated execution through a gateway
+  (or an in-process one over ``repro serve`` nodes), byte-identical to a
+  local run.
 * :mod:`repro.campaign.report` — aggregation into report.json / report.csv.
 
 Entry points: ``repro campaign run|resume|report|dispatch`` on the CLI, and

@@ -1,9 +1,9 @@
-"""Federated campaign execution: fan cells out over remote ``repro serve`` nodes.
+"""Federated campaign execution: ship cells to one gateway URL.
 
 The dispatcher takes the same expanded, content-addressed plan the local
 :class:`~repro.campaign.runner.CampaignRunner` executes, but ships each cell
-to one of N remote service endpoints (``repro serve``) instead of a local
-worker pool.  Everything else is deliberately identical:
+to a ``repro gateway`` instead of a local worker pool.  Everything else is
+deliberately identical:
 
 * the run directory layout (``spec.json``/``manifest.json``/``results/``) is
   produced by the same :class:`CampaignRunner` code path;
@@ -12,29 +12,36 @@ worker pool.  Everything else is deliberately identical:
 * the aggregate ``report.json``/``report.csv`` are built only from the
   manifest order and the checkpoint payloads.
 
-So a campaign dispatched across machines produces a report **byte-identical**
-to a local run, resumes idempotently (checkpointed cells are never
-re-sent), and tolerates node loss: when a node stops answering, its
-outstanding cells are reassigned to the surviving nodes, and a fully dead
-fleet fails the dispatch with the checkpoints intact — re-dispatching (or
-running locally) finishes the remainder.
+So a dispatched campaign produces a report **byte-identical** to a local
+run and resumes idempotently (checkpointed cells are never re-sent).
+
+Placement, failover and registry-skew checks all live in the gateway
+(:mod:`repro.gateway`): it routes each cell by content digest, replays a
+lost node's jobs onto survivors, and admits only nodes whose registry digest
+equals its own.  Given a list of node URLs instead of a gateway, the
+dispatcher starts an ephemeral in-process gateway over them for the length
+of :meth:`CampaignDispatcher.run`.  Either way the dispatcher talks to one
+URL: it checks that URL's registry digest once, keeps at most
+``max_inflight`` cells in flight through it, and pauses briefly when the
+fleet answers 429.
 
 Grid DAG semantics match the local runner: a grid's cells are dispatched only
 after its dependency grids completed, and grids depending on a failed grid
-stay pending.  Load balancing is pull-based: each node holds at most
-``max_inflight`` cells, so fast nodes drain more of the queue and a node's
-``max_queued`` backpressure limit is respected by construction.
+stay pending.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from ..eval.reporting import to_jsonable
+from ..gateway.registry import compute_registry_digest
+from ..gateway.server import GatewayServer
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
 from ..obs.timing import timed
@@ -51,7 +58,7 @@ __all__ = ["CampaignDispatcher", "DispatchError", "dispatch_campaign"]
 
 _COOLDOWNS_TOTAL = get_metrics().counter(
     "repro_dispatch_cooldowns_total",
-    "Dispatcher 429-saturation cooldowns (node window shrunk, cell parked).",
+    "Dispatcher 429-saturation cooldowns (submission paused, cell kept queued).",
 )
 
 #: Remote job states that end a cell.
@@ -63,75 +70,55 @@ _TERMINAL = ("done", "failed", "cancelled")
 #: turning the dispatch loop into a livelock.
 MAX_CELL_ATTEMPTS = 5
 
+#: Node health timing of the ephemeral gateway behind ``--nodes``: agent-less
+#: nodes are health-pulled every sweep, suspect after 0.6 s without an
+#: answer and failed over after 1.5 s.
+_SUSPECT_AFTER = 0.6
+_DEAD_AFTER = 1.5
+_SWEEP_INTERVAL = 0.1
+
 
 class DispatchError(RuntimeError):
-    """No reachable node is left to run the remaining cells."""
-
-
-def _codec_uses(job: CampaignJob) -> list[tuple[str, dict]]:
-    """Every ``(codec name, params)`` pair a ``codec_compress`` job invokes."""
-    if job.scenario != "codec_compress":
-        return []
-    uses: list[tuple[str, dict]] = []
-    name = job.params.get("codec")
-    if isinstance(name, str) and name:
-        uses.append((name, dict(job.params.get("params") or {})))
-    for stage in job.params.get("stages") or []:
-        if isinstance(stage, dict) and isinstance(stage.get("codec"), str):
-            uses.append((stage["codec"], dict(stage.get("params") or {})))
-    return uses
+    """The gateway (or every node behind it) cannot run the remaining cells."""
 
 
 @dataclass
-class _Node:
-    """One remote endpoint and what the dispatcher knows about it."""
+class _Target:
+    """The one URL cells are shipped to and what the dispatcher counts there."""
 
     url: str
     client: ServiceClient
-    alive: bool = True
-    reason: str = ""
-    outstanding: int = 0
-    completed: int = 0
     submitted: int = 0
-    #: Current submission window; shrunk when the node reports saturation.
-    window: int = 1
-    #: Monotonic time before which a saturated node is not offered new cells.
+    #: Monotonic time before which no new cell is offered (429 backpressure).
     cooldown_until: float = 0.0
-
-    def summary(self) -> dict:
-        summary = {
-            "url": self.url,
-            "alive": self.alive,
-            "reason": self.reason,
-            "submitted": self.submitted,
-            "completed": self.completed,
-        }
-        # Real ServiceClients carry a circuit breaker; test doubles may not.
-        breaker = getattr(self.client, "breaker", None)
-        if breaker is not None:
-            summary["breaker"] = breaker.stats()
-        return summary
 
 
 @dataclass
 class _Cell:
-    """One in-flight cell: where it currently runs and under which remote id."""
+    """One cell from its first submission attempt until it leaves the grid."""
 
     job: CampaignJob
-    node: _Node
-    remote_id: str
-    attempts: int = field(default=1)
-    #: The cell's ``dispatch.cell`` span, open from first submission until
-    #: checkpoint or give-up; reassignments keep (and re-propagate) it, so
-    #: one cell is one span however many nodes it visited.
+    #: The gateway job id of the current submission ("" before the first).
+    remote_id: str = ""
+    #: Accepted submissions so far (resubmissions included).
+    attempts: int = 0
+    #: The cell's ``dispatch.cell`` span, open from the first submission
+    #: attempt until checkpoint or give-up; resubmissions keep (and
+    #: re-propagate) it, so one cell is one span however often it was sent.
     span: obs_trace.Span | None = field(default=None, repr=False)
-    #: Wall-clock first-submission time, surviving reassignments — the basis
-    #: of the checkpoint's ``wall_seconds``.
-    started_at: float = field(default_factory=time.time)
+    #: Wall-clock time of the first submission attempt — the basis of the
+    #: checkpoint's ``wall_seconds``, so retries and resubmissions count.
+    started_at: float = 0.0
 
 
 class CampaignDispatcher:
-    """Execute (or resume) one campaign across remote service endpoints."""
+    """Execute (or resume) one campaign through a gateway.
+
+    Pass ``gateway=URL`` for a running ``repro gateway``, or a list of node
+    ``endpoints`` to have :meth:`run` front them with an in-process gateway.
+    ``nodes`` holds the single target once known (from construction with
+    ``gateway=``, from :meth:`run` otherwise).
+    """
 
     def __init__(
         self,
@@ -146,16 +133,9 @@ class CampaignDispatcher:
         ingest_db: str | None = None,
         gateway: str | None = None,
     ):
-        # Gateway mode: one front-door URL replaces the node list — the
-        # gateway routes each cell by content digest, so the dispatcher's
-        # own load balancing degenerates to a single "node" while routing,
-        # failover, and cache affinity happen behind the URL.
-        self.gateway = gateway.rstrip("/") if gateway else None
-        if self.gateway is not None:
-            if endpoints:
-                raise ValueError("pass either endpoints or gateway=, not both")
-            endpoints = [self.gateway]
-        if not endpoints:
+        if gateway and endpoints:
+            raise ValueError("pass either endpoints or gateway=, not both")
+        if not gateway and not endpoints:
             raise ValueError("at least one service endpoint is required")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -168,217 +148,168 @@ class CampaignDispatcher:
         self.run_dir = self.runner.run_dir
         self.poll_interval = poll_interval
         self.max_inflight = max_inflight
-        options = dict(client_options or {})
-        self.nodes = [
-            _Node(url.rstrip("/"), client_factory(url, **options), window=max_inflight)
-            for url in endpoints
-        ]
-        self._rr = 0  # round-robin tiebreak between equally loaded nodes
+        self.gateway = gateway.rstrip("/") if gateway else None
+        self.endpoints = [url.rstrip("/") for url in endpoints]
+        self._client_factory = client_factory
+        self._client_options = dict(client_options or {})
+        self.nodes: list[_Target] = []
+        if self.gateway is not None:
+            self._connect(self.gateway)
         self.stats: dict[str, Any] = {}
         self._cooldowns = 0
         self._root_span: obs_trace.Span | None = None
 
     # ------------------------------------------------------------------ #
-    # Node management
+    # The target
     # ------------------------------------------------------------------ #
 
-    def _alive_nodes(self) -> list[_Node]:
-        return [node for node in self.nodes if node.alive]
+    def _connect(self, url: str) -> _Target:
+        target = _Target(url, self._client_factory(url, **self._client_options))
+        self.nodes = [target]
+        return target
 
-    def _mark_dead(self, node: _Node, reason: str) -> None:
-        node.alive = False
-        node.reason = reason
+    def _start_gateway(self) -> GatewayServer:
+        """An ephemeral gateway over ``endpoints``, serving on a daemon thread.
 
-    def _probe_nodes(self) -> None:
-        """Health-check and registry-validate every node before submitting.
-
-        Beyond liveness, each node's ``GET /v1/scenarios`` listing is checked
-        against every scenario and parameter name the plan will submit —
-        registry skew (a node built from a different revision) is caught at
-        probe time instead of burning submissions.  A node down or skewed at
-        start is skipped, not fatal.
+        It canonicalizes with the runner's own registry, so a node on any
+        other registry is refused at admission.
         """
-        requirements: dict[str, set[str]] = {}
-        codec_requirements: dict[str, set[str]] = {}
-        for job in self.plan.jobs:
-            requirements.setdefault(job.scenario, set()).update(job.params)
-            for name, params in _codec_uses(job):
-                codec_requirements.setdefault(name, set()).update(params)
-        for node in self.nodes:
+        gateway = GatewayServer(
+            ("127.0.0.1", 0),
+            registry=self.runner.registry,
+            suspect_after=_SUSPECT_AFTER,
+            dead_after=_DEAD_AFTER,
+            sweep_interval=_SWEEP_INTERVAL,
+        )
+        # A short poll interval keeps close() (which waits out one poll) quick.
+        threading.Thread(
+            target=gateway.serve_forever, args=(0.05,), name="dispatch-gateway",
+            daemon=True,
+        ).start()
+        return gateway
+
+    def _admit_endpoints(self, gateway: GatewayServer) -> list[dict]:
+        """Admit every endpoint statically and target the gateway; -> refusals.
+
+        Raises :class:`DispatchError` when no endpoint is admitted.
+        """
+        refused = []
+        for url in self.endpoints:
             try:
-                node.client.health()
-                for scenario, param_names in sorted(requirements.items()):
-                    node.client.validate_job(scenario, dict.fromkeys(param_names))
-                if codec_requirements:
-                    self._validate_node_codecs(node, codec_requirements)
-            except ServiceError as error:
-                self._mark_dead(node, f"health check failed: {error}")
-            except ValueError as error:
-                self._mark_dead(node, f"registry skew: {error}")
-        if not self._alive_nodes():
-            raise DispatchError(self._dead_fleet_message())
+                gateway.admit_static(url)
+            except (ServiceError, ValueError) as error:
+                refused.append({"url": url, "state": "refused", "reason": str(error)})
+        if len(refused) == len(self.endpoints):
+            details = "; ".join(f"{entry['url']}: {entry['reason']}" for entry in refused)
+            raise DispatchError(f"no reachable service node ({details})")
+        self._connect(f"http://127.0.0.1:{gateway.port}")
+        return refused
 
-    @staticmethod
-    def _validate_node_codecs(node: _Node, required: dict[str, set[str]]) -> None:
-        """Check the node's ``/v1/codecs`` against every codec the plan uses.
+    def _probe(self, target: _Target) -> None:
+        """One ``GET /v1/health``: the target must answer on the local registry.
 
-        ``codec_compress`` cells pass the scenario-level probe on any node —
-        their codec identity lives in nested parameters — so codec-level skew
-        (a missing plugin codec, an older codec schema) must be caught here
-        or every affected cell burns its submission retries at run time.
+        The gateway reports the digest it canonicalizes by; any other digest
+        would checkpoint results under the wrong content address.
         """
-        available = {
-            entry["name"]: set(entry.get("params", {}))
-            for entry in node.client.codecs()
-        }
-        for name, param_names in sorted(required.items()):
-            if name not in available:
-                raise ValueError(
-                    f"{node.url}: codec {name!r} is not registered on the node; "
-                    f"available: {sorted(available)}"
-                )
-            unknown = sorted(param_names - available[name])
-            if unknown:
-                raise ValueError(
-                    f"{node.url}: codec {name!r} does not accept parameter(s) "
-                    f"{unknown}; accepted: {sorted(available[name])}"
-                )
+        try:
+            health = target.client.health()
+        except ServiceError as error:
+            raise DispatchError(f"no reachable service node ({target.url}: {error})") from None
+        local = compute_registry_digest(self.runner.registry)
+        remote = health.get("registry_digest")
+        if remote is None:
+            raise DispatchError(
+                f"{target.url} reports no registry digest: not a gateway "
+                "(pass node URLs as endpoints, or --nodes)"
+            )
+        if remote != local:
+            raise DispatchError(
+                f"registry skew: {target.url} canonicalizes by registry digest "
+                f"{str(remote)[:12]}..., the local plan by {local[:12]}..."
+            )
 
-    def _dead_fleet_message(self) -> str:
-        details = "; ".join(f"{node.url}: {node.reason}" for node in self.nodes)
-        return f"no reachable service node left ({details})"
-
-    def _pick_node(self, ignore_window: bool = False) -> _Node | None:
-        """Least-loaded alive node under ``max_inflight``, round-robin on ties.
-
-        ``ignore_window=True`` (used when reassigning a dead node's cells,
-        which must land *somewhere*) picks the least-loaded alive node even
-        if every window is full.
-        """
-        candidates = self._alive_nodes()
-        if not ignore_window:
-            now = time.monotonic()
-            candidates = [
-                n for n in candidates
-                if n.outstanding < n.window and now >= n.cooldown_until
-            ]
-        if not candidates:
-            return None
-        load = min(node.outstanding for node in candidates)
-        tied = [node for node in candidates if node.outstanding == load]
-        self._rr += 1
-        return tied[self._rr % len(tied)]
+    def _fleet(self, target: _Target, refused: list[dict]) -> list[dict]:
+        """The gateway's node listing (url, state, reason) plus refused URLs."""
+        try:
+            listing = target.client.request("GET", "/v1/gateway/nodes")["nodes"]
+        except (ServiceError, KeyError, TypeError):
+            listing = []
+        return [
+            {key: node.get(key) for key in ("url", "state", "reason")}
+            for node in listing
+            if isinstance(node, dict)
+        ] + refused
 
     # ------------------------------------------------------------------ #
     # Cell submission / completion
     # ------------------------------------------------------------------ #
 
-    def _submit_cell(
-        self,
-        job: CampaignJob,
-        attempts: int = 1,
-        ignore_window: bool = False,
-        cell_span: obs_trace.Span | None = None,
-        started_at: float | None = None,
-    ) -> _Cell:
-        """Submit one cell to some alive node, failing over on dead ones.
+    def _submit_cell(self, target: _Target, cell: _Cell) -> bool:
+        """Submit one cell; ``False`` when the fleet is saturated (cooldown set).
 
-        The cell's ``dispatch.cell`` span (created on first submission,
-        reused on reassignments) is *activated* around the submit call, so
-        the client propagates it in ``X-Repro-Trace`` and the remote node's
-        ``http.request``/``job.run`` spans become its children — one
-        connected trace per cell across machines.
+        The cell's ``dispatch.cell`` span (created on the first attempt,
+        reused on resubmissions) is *activated* around the submit call, so
+        the client propagates it in ``X-Repro-Trace`` and the gateway's and
+        node's request spans become its children — one connected trace per
+        cell across machines.
         """
-        if cell_span is None:
-            cell_span = obs_trace.start_span(
+        job = cell.job
+        if cell.span is None:
+            cell.span = obs_trace.start_span(
                 "dispatch.cell",
                 attrs={"cell": job.cell, "grid": job.grid, "scenario": job.scenario},
                 parent=self._root_span.context if self._root_span else None,
             )
-        if started_at is None:
-            started_at = time.time()
-        while True:
-            node = self._pick_node(ignore_window=ignore_window)
-            if node is None and self._alive_nodes():
-                # A failover mid-submit can leave every survivor at its
-                # window limit; the cell still has to land somewhere.
-                node = self._pick_node(ignore_window=True)
-            if node is None:
-                cell_span.finish(error="no reachable node left")
-                raise DispatchError(self._dead_fleet_message())
-            # The spec's per-job budget rides along on every cell (only when
-            # set, so client doubles without the kwarg keep working).
-            submit_kwargs: dict = {}
-            if getattr(self.spec, "deadline_s", None) is not None:
-                submit_kwargs["deadline_s"] = self.spec.deadline_s
-            try:
-                with obs_trace.activate(cell_span):
-                    record = node.client.submit(
-                        job.scenario, to_jsonable(job.params), **submit_kwargs
-                    )
-            except ServiceUnavailable as error:
-                if error.saturated:
-                    # A full queue (429 through every retry) is backpressure,
-                    # not death: shrink the node's window, let it cool down,
-                    # and place the cell elsewhere (or wait for a drain).
-                    node.window = max(1, node.outstanding)
-                    node.cooldown_until = time.monotonic() + max(self.poll_interval, 0.05)
-                    self._cooldowns += 1
-                    _COOLDOWNS_TOTAL.inc()
-                    if self._pick_node() is None:
-                        time.sleep(max(self.poll_interval, 0.05))
-                    continue
-                self._mark_dead(node, str(error))
-                continue
-            except ServiceRequestError as error:
-                # The node rejected the submission outright (e.g. its registry
-                # does not know the scenario): version skew — refuse the node,
-                # keep the cell for the rest of the fleet.
-                self._mark_dead(node, f"rejected {job.cell}: {error}")
-                continue
-            if record.get("digest") != job.digest:
-                # The node canonicalizes against a different registry than the
-                # local plan: its results would be checkpointed under the
-                # wrong content address.  Refuse the node, not the cell.
-                self._mark_dead(
-                    node,
-                    f"digest mismatch for cell {job.cell} (local {job.digest[:12]}..., "
-                    f"remote {str(record.get('digest'))[:12]}...): registry skew",
+            cell.started_at = time.time()
+        # The spec's per-job budget rides along on every cell (only when
+        # set, so client doubles without the kwarg keep working).
+        submit_kwargs: dict = {}
+        if getattr(self.spec, "deadline_s", None) is not None:
+            submit_kwargs["deadline_s"] = self.spec.deadline_s
+        try:
+            with obs_trace.activate(cell.span):
+                record = target.client.submit(
+                    job.scenario, to_jsonable(job.params), **submit_kwargs
                 )
-                continue
-            node.outstanding += 1
-            node.submitted += 1
-            cell_span.set_attr("node", node.url)
-            return _Cell(
-                job=job,
-                node=node,
-                remote_id=record["job_id"],
-                attempts=attempts,
-                span=cell_span,
-                started_at=started_at,
+        except ServiceUnavailable as error:
+            if error.saturated:
+                # A full queue (429 through every retry) is backpressure, not
+                # loss: pause submissions briefly and keep the cell queued.
+                target.cooldown_until = time.monotonic() + max(self.poll_interval, 0.05)
+                self._cooldowns += 1
+                _COOLDOWNS_TOTAL.inc()
+                return False
+            cell.span.finish(error="no reachable node")
+            raise DispatchError(
+                f"no reachable service node left ({target.url}: {error})"
+            ) from None
+        except ServiceRequestError as error:
+            cell.span.finish(error="submission rejected")
+            raise DispatchError(f"{target.url} rejected cell {job.cell}: {error}") from None
+        if record.get("digest") != job.digest:
+            # The target canonicalizes against a different registry than the
+            # local plan: its results would be checkpointed under the wrong
+            # content address.
+            cell.span.finish(error="digest mismatch")
+            raise DispatchError(
+                f"digest mismatch for cell {job.cell} (local {job.digest[:12]}..., "
+                f"remote {str(record.get('digest'))[:12]}...): registry skew "
+                f"at {target.url}"
             )
-
-    def _reassign(self, cell: _Cell, reason: str) -> _Cell:
-        """Move a dead node's cell to a surviving node (window ignored)."""
-        self._mark_dead(cell.node, reason)
-        cell.node.outstanding = 0
-        return self._submit_cell(
-            cell.job,
-            attempts=cell.attempts + 1,
-            ignore_window=True,
-            cell_span=cell.span,
-            started_at=cell.started_at,
-        )
+        cell.remote_id = record["job_id"]
+        cell.attempts += 1
+        target.submitted += 1
+        return True
 
     @staticmethod
-    def _cell_timing(cell: _Cell, record: dict) -> dict:
+    def _cell_timing(target: _Target, cell: _Cell, record: dict) -> dict:
         """Provenance block for a remotely executed cell's checkpoint.
 
         Mirrors :func:`repro.campaign.runner.job_timing` for local runs, with
-        the node URL as the worker identity; ``wall_seconds`` spans from first
-        submission, so reassignments and retries are included.
+        the target URL as the worker identity; ``wall_seconds`` spans from
+        first submission, so resubmissions and retries are included.
         """
-        worker = cell.node.url
+        worker = target.url
         remote_worker = record.get("worker")
         if isinstance(remote_worker, str) and remote_worker:
             worker = f"{worker}#{remote_worker}"
@@ -401,13 +332,15 @@ class CampaignDispatcher:
         Writes the aggregate report when the whole manifest is checkpointed
         (exactly like a completing local run) and raises
         :class:`~repro.campaign.runner.CampaignRunError` when cells failed
-        remotely, or :class:`DispatchError` when every node died.
+        remotely, or :class:`DispatchError` when the target cannot run them.
         """
         executed = 0
         skipped = 0
         failures: list[tuple[CampaignJob, str]] = []
         failed_grids: set[str] = set()
         report_written = False
+        gateway: GatewayServer | None = None
+        refused: list[dict] = []
         # The root span is created but NOT activated for the whole run: cell
         # spans parent to it explicitly, while the poll-loop GETs stay out of
         # the trace (hundreds of poll requests would drown the cell tree).
@@ -416,14 +349,18 @@ class CampaignDispatcher:
             attrs={
                 "campaign": self.spec.name,
                 "run_dir": str(self.run_dir),
-                "nodes": [node.url for node in self.nodes],
+                "nodes": [self.gateway] if self.gateway else list(self.endpoints),
             },
         )
         with timed("campaign.dispatch") as timer:
             try:
                 self.runner.prepare_run_dir()
                 completed = self.runner.completed_digests()
-                self._probe_nodes()
+                if self.gateway is None:
+                    gateway = self._start_gateway()
+                    refused = self._admit_endpoints(gateway)
+                target = self.nodes[0]
+                self._probe(target)
 
                 for grid_name in self.plan.stage_order:
                     grid = next(g for g in self.spec.grids if g.name == grid_name)
@@ -434,7 +371,7 @@ class CampaignDispatcher:
                     pending = [job for job in grid_jobs if job.digest not in completed]
                     skipped += len(grid_jobs) - len(pending)
                     executed += self._run_grid(
-                        grid_name, pending, completed, failures, failed_grids
+                        target, grid_name, pending, completed, failures, failed_grids
                     )
 
                 if not failures:
@@ -442,8 +379,11 @@ class CampaignDispatcher:
                     if not any(job.digest not in completed for job in self.plan.jobs):
                         self.runner.write_report()
                         report_written = True
+                nodes = self._fleet(target, refused)
             finally:
                 self._root_span.finish(status="error" if failures else "ok")
+                if gateway is not None:
+                    gateway.close()
 
         self.stats = {
             "campaign": self.spec.name,
@@ -451,14 +391,14 @@ class CampaignDispatcher:
             "run_dir": str(self.run_dir),
             "mode": "gateway" if self.gateway is not None else "dispatch",
             "trace_id": self._root_span.trace_id,
-            "nodes": [node.summary() for node in self.nodes],
+            "nodes": nodes,
             "total_cells": len(self.plan.jobs),
             "executed": executed,
             "skipped_checkpointed": skipped,
             "failed": len(failures),
             "report_written": report_written,
             "elapsed_seconds": timer.seconds,
-            "client": self._client_summary(),
+            "client": self._client_summary(target),
         }
         _write_atomic(
             self.run_dir / "state.json",
@@ -468,67 +408,55 @@ class CampaignDispatcher:
             raise CampaignRunError(failures)
         return self.stats
 
-    def _client_summary(self) -> dict:
-        """Aggregate retry/cooldown counts for the end-of-run summary.
+    def _client_summary(self, target: _Target) -> dict:
+        """Retry/cooldown counts for the end-of-run summary.
 
         Tolerates client doubles without the retry tally (tests inject
         factories); real :class:`ServiceClient` instances always have it.
         """
-        total = 0
-        by_reason: dict[str, int] = {}
-        for node in self.nodes:
-            tally = getattr(node.client, "retries_by_reason", None) or {}
-            for reason, count in tally.items():
-                by_reason[reason] = by_reason.get(reason, 0) + count
-                total += count
+        tally = getattr(target.client, "retries_by_reason", None) or {}
         return {
-            "retries": total,
-            "retries_by_reason": dict(sorted(by_reason.items())),
+            "retries": sum(tally.values()),
+            "retries_by_reason": dict(sorted(tally.items())),
             "cooldowns_429": self._cooldowns,
         }
 
     def _run_grid(
         self,
+        target: _Target,
         grid_name: str,
         pending: list[CampaignJob],
         completed: set[str],
         failures: list[tuple[CampaignJob, str]],
         failed_grids: set[str],
     ) -> int:
-        """Fan one grid's pending cells over the fleet; return cells executed."""
-        queue = list(pending)
+        """Keep ``max_inflight`` of one grid's cells in flight; -> cells executed."""
+        queue = [_Cell(job) for job in pending]
         outstanding: dict[str, _Cell] = {}  # digest -> in-flight cell
         executed = 0
         idle_sleep = self.poll_interval
 
         while queue or outstanding:
-            # Keep every node's window full (fast nodes pull more cells).
-            while queue and self._pick_node() is not None:
-                cell = self._submit_cell(queue.pop(0))
+            while (
+                queue
+                and len(outstanding) < self.max_inflight
+                and time.monotonic() >= target.cooldown_until
+                and self._submit_cell(target, queue[0])
+            ):
+                cell = queue.pop(0)
                 outstanding[cell.job.digest] = cell
 
             progressed = False
             for digest, cell in list(outstanding.items()):
-                if not cell.node.alive:
-                    # The node died while other cells were being handled; do
-                    # not burn a full retry cycle against it per cell.
-                    outstanding[digest] = self._submit_cell(
-                        cell.job,
-                        attempts=cell.attempts + 1,
-                        ignore_window=True,
-                        cell_span=cell.span,
-                        started_at=cell.started_at,
-                    )
-                    progressed = True
-                    continue
                 try:
-                    record = cell.node.client.job(cell.remote_id)
+                    record = target.client.job(cell.remote_id)
                     if record["state"] == "done":
-                        record = cell.node.client.result(cell.remote_id)
+                        record = target.client.result(cell.remote_id)
                 except ServiceUnavailable as error:
-                    outstanding[digest] = self._reassign(cell, str(error))
-                    progressed = True
-                    continue
+                    cell.span.finish(error="no reachable node")
+                    raise DispatchError(
+                        f"no reachable service node left ({target.url}: {error})"
+                    ) from None
                 except ServiceRequestError as error:
                     # Usually the remote job store evicted this record (its
                     # finished history is bounded) and the result is still in
@@ -536,7 +464,6 @@ class CampaignDispatcher:
                     # instant hit.  Bounded, because a *persistent* error
                     # (e.g. a result the node cannot serialize is a 500 on
                     # every fetch) would otherwise livelock the dispatch.
-                    cell.node.outstanding = max(cell.node.outstanding - 1, 0)
                     del outstanding[digest]
                     progressed = True
                     if cell.attempts >= MAX_CELL_ATTEMPTS:
@@ -545,41 +472,29 @@ class CampaignDispatcher:
                              f"gave up after {cell.attempts} attempt(s): {error}")
                         )
                         failed_grids.add(grid_name)
-                        if cell.span is not None:
-                            cell.span.finish(
-                                error=f"gave up after {cell.attempts} attempt(s)"
-                            )
+                        cell.span.finish(error=f"gave up after {cell.attempts} attempt(s)")
                     else:
-                        outstanding[digest] = self._submit_cell(
-                            cell.job,
-                            attempts=cell.attempts + 1,
-                            ignore_window=True,
-                            cell_span=cell.span,
-                            started_at=cell.started_at,
-                        )
+                        queue.insert(0, cell)  # resubmitted ahead of fresh cells
                     continue
                 if record["state"] not in _TERMINAL:
                     continue
-                cell.node.outstanding = max(cell.node.outstanding - 1, 0)
                 del outstanding[digest]
                 progressed = True
                 if record["state"] == "done":
                     self.runner.checkpoint(
-                        cell.job, record["result"], timing=self._cell_timing(cell, record)
+                        cell.job, record["result"],
+                        timing=self._cell_timing(target, cell, record),
                     )
                     completed.add(digest)
-                    cell.node.completed += 1
                     executed += 1
-                    if cell.span is not None:
-                        cell.span.set_attr("attempts", cell.attempts)
-                        cell.span.finish()
+                    cell.span.set_attr("attempts", cell.attempts)
+                    cell.span.finish()
                 else:
                     failures.append(
                         (cell.job, record.get("error") or f"remote job {record['state']}")
                     )
                     failed_grids.add(grid_name)
-                    if cell.span is not None:
-                        cell.span.finish(error=f"remote job {record['state']}")
+                    cell.span.finish(error=f"remote job {record['state']}")
             if progressed:
                 idle_sleep = self.poll_interval
             elif queue or outstanding:

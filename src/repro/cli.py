@@ -305,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_dispatch = campaign_sub.add_parser(
         "dispatch",
         help="fan a campaign's cells out across remote `repro serve` nodes "
-        "(same checkpoints and byte-identical report as a local run)",
+        "through a gateway (same checkpoints and byte-identical report as a "
+        "local run)",
     )
     campaign_dispatch.add_argument("spec", help="path to a campaign spec (JSON)")
     campaign_dispatch.add_argument(
@@ -313,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="URL",
-        help="service endpoints, e.g. http://host-a:8000 http://host-b:8000",
+        help="service endpoints, e.g. http://host-a:8000 http://host-b:8000, "
+        "admitted into an in-process gateway for the run",
     )
     campaign_dispatch.add_argument(
         "--gateway",
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-inflight",
         type=int,
         default=8,
-        help="cells held on each node at once (backpressure-aware window)",
+        help="cells in flight through the gateway at once",
     )
     campaign_dispatch.add_argument(
         "--poll-interval",
@@ -955,8 +957,8 @@ def _campaign_dispatch(args: argparse.Namespace) -> int:
         f"{stats['total_cells']} total cells in {stats['elapsed_seconds']:.1f}s"
     )
     for node in stats["nodes"]:
-        status = "ok" if node["alive"] else f"LOST ({node['reason']})"
-        print(f"  {node['url']}: {node['completed']} cell(s) completed — {status}")
+        reason = f" ({node['reason']})" if node["reason"] else ""
+        print(f"  {node['url']}: {node['state']}{reason}")
     client_stats = stats.get("client") or {}
     retries = client_stats.get("retries", 0)
     cooldowns = client_stats.get("cooldowns_429", 0)

@@ -6,10 +6,12 @@ Each heartbeat carries the node's queue depth (for observability) and its
 codec schemas.  A node whose digest differs from the gateway's is refused at
 registration (HTTP 409): routing by content digest only works when every
 party canonicalizes parameters identically, so registry skew is rejected at
-the door instead of surfacing later as checkpoint corruption (the same
-invariant the campaign dispatcher enforces per-response).
+the door instead of surfacing later as checkpoint corruption (the campaign
+dispatcher checks the gateway's digest against its own plan's once per run).
 
-Health is heartbeat-driven and moves one way between sweeps::
+Health is heartbeat-driven and moves one way between sweeps (for an
+agent-less node the gateway's sweeper pulls its health and records the
+heartbeat itself)::
 
     healthy --(suspect_after missed)--> suspect --(dead_after)--> dead
        ^                                  |
@@ -80,7 +82,7 @@ class UnknownNodeError(KeyError):
     """Heartbeat/journal/deregister for a node id never registered."""
 
 
-def compute_registry_digest(registry) -> str:
+def compute_registry_digest(scenarios, codecs: list[dict] | None = None) -> str:
     """Stable digest of a node's canonicalization surface.
 
     Hashes the scenario registry's full description (names and canonical
@@ -89,12 +91,19 @@ def compute_registry_digest(registry) -> str:
     digest.  Two processes with equal digests compute identical job digests
     for identical bodies, which is what lets the gateway route by digest and
     nodes verify it.
-    """
-    from .. import codecs
 
-    return stable_digest(
-        "repro-registry", registry.describe(), codecs.describe_codecs()
-    )
+    Local case: pass a :class:`~repro.service.registry.ScenarioRegistry`
+    alone; this process's codec schemas are hashed with it.  Remote case:
+    pass a node's ``GET /v1/scenarios`` and ``GET /v1/codecs`` listings.
+    Both listings are those same descriptions after a JSON round trip,
+    which the hash does not see, so a node's digest is the same whether it
+    computes it itself or a gateway computes it from its listings.
+    """
+    if codecs is None:
+        from ..codecs import describe_codecs
+
+        scenarios, codecs = scenarios.describe(), describe_codecs()
+    return stable_digest("repro-registry", scenarios, codecs)
 
 
 def node_id_for_url(url: str) -> str:
@@ -171,7 +180,7 @@ class NodeRegistry:
         """
         if registry_digest != self.expected_digest:
             raise RegistrySkewError(
-                f"registry digest mismatch: node {url} reports "
+                f"registry skew: node {url} reports digest "
                 f"{registry_digest[:12]}..., gateway expects "
                 f"{self.expected_digest[:12]}... — the node runs a different "
                 "revision and would canonicalize jobs differently; refusing"

@@ -3,8 +3,9 @@
 ``repro gateway`` serves the same submission surface as a node
 (``POST /v1/jobs``, ``/v1/compress``, ``/v1/campaign``) plus the node-ops
 endpoints the fleet uses to assemble itself.  Clients — above all
-:class:`~repro.campaign.dispatch.CampaignDispatcher` in gateway mode — talk
-to the gateway exactly as they would to a single node; the gateway:
+:class:`~repro.campaign.dispatch.CampaignDispatcher`, whose ``--nodes`` mode
+runs one of these in-process — talk to the gateway exactly as they would to
+a single node; the gateway:
 
 * **canonicalizes** every submission with the same shared helpers nodes use
   (:func:`~repro.service.server.canonicalize_submission`), computes the
@@ -12,11 +13,17 @@ to the gateway exactly as they would to a single node; the gateway:
 * **routes by digest** over a consistent-hash ring (:mod:`.ring`), so a
   re-submitted job lands on the node whose result cache already holds it;
   the node's answer must echo the same digest or the proxy answers 502
-  (registry skew caught per-response, as the dispatcher does);
+  (registry skew caught per-response, not only at admission);
+* **admits nodes two ways**: a node's agent registers and heartbeats
+  (``repro serve --register``), or the gateway admits an agent-less node
+  statically (:meth:`GatewayServer.admit_static`) and its sweeper pulls
+  ``GET /v1/health`` in place of heartbeats;
 * **replicates journals**: nodes stream their journal lines in, and the
   gateway writes its own submit line per routed job at proxy time — so a
   node SIGKILLed before its shipper flushed still leaves the gateway
-  knowing every job it owed;
+  knowing every job it owed (an agent-less node streams nothing, so its
+  failover also replays jobs that had finished: harmless, as results are
+  keyed by content digest);
 * **fails over**: when the registry sweeps a node to dead, its unfinished
   replica jobs are replayed onto ring survivors; polls for a dead node's
   jobs answer synthetically (``state: "queued"``) until the replacement
@@ -393,6 +400,8 @@ class GatewayServer(ThreadingHTTPServer):
         self._lock = threading.Lock()
         self._ring = HashRing(replicas=ring_replicas)
         self._clients: dict[str, ServiceClient] = {}
+        #: Ids of agent-less nodes, whose health the sweeper pulls.
+        self._static: set[str] = set()
         #: Original gateway job id -> (node id, remote id) after failover.
         self._failover: dict[str, tuple[str, str]] = {}
         #: Gateway ids with a failover resubmission in flight right now.
@@ -445,6 +454,23 @@ class GatewayServer(ThreadingHTTPServer):
             self._ring.add(node.node_id)
             # Drop any cached client: a re-registration may change the URL.
             self._clients.pop(node.node_id, None)
+        return node
+
+    def admit_static(self, url: str):
+        """Admit an agent-less node: digest its registry listings, register it.
+
+        The node's ``GET /v1/scenarios`` and ``GET /v1/codecs`` are hashed
+        with :func:`compute_registry_digest`, so a node on another registry
+        is refused with :class:`RegistrySkewError` and one that cannot be
+        reached with :class:`ServiceError`; either carries the reason.
+        """
+        # Admission happens once, so it rides out more transient faults than
+        # one proxied request does (a refused node stays out for good).
+        probe = ServiceClient(url, timeout=self.node_timeout, retries=3, backoff=0.05)
+        digest = compute_registry_digest(probe.scenarios(), probe.codecs())
+        node = self.admit_node(url, digest)
+        with self._lock:
+            self._static.add(node.node_id)
         return node
 
     def remove_node(self, node_id: str):
@@ -739,9 +765,41 @@ class GatewayServer(ThreadingHTTPServer):
 
     def _sweep_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
+            self._pull_static_health()
             for node, _old, new_state in self.nodes.sweep():
                 if new_state == "dead":
                     self._failover_node(node.node_id)
+
+    def _pull_static_health(self) -> None:
+        """Heartbeat each live agent-less node that answers ``GET /v1/health``.
+
+        The timeout keeps one hung node from stalling the sweep past the
+        other nodes' suspect window.  A fresh client per pull keeps liveness
+        independent of the routing client's circuit breaker.
+        """
+        with self._lock:
+            static = set(self._static)
+        for node in self.nodes.nodes():
+            if node.node_id not in static or node.state not in ("healthy", "suspect"):
+                continue
+            client = ServiceClient(
+                node.url, timeout=self.nodes.suspect_after / 2, retries=1, backoff=0.05
+            )
+            try:
+                health = client.health()
+            except ServiceError:
+                continue  # no answer, no heartbeat
+            # Queue depth is informational; a malformed body still proves life.
+            pool = health.get("pool") if isinstance(health, dict) else None
+            depth = pool.get("inflight") if isinstance(pool, dict) else None
+            try:
+                self.nodes.heartbeat(
+                    node.node_id,
+                    depth if isinstance(depth, int) else 0,
+                    node.registry_digest,
+                )
+            except UnknownNodeError:
+                continue  # swept dead (or re-registered away) meanwhile
 
     def _failover_node(self, node_id: str) -> dict:
         """Replay a lost node's unfinished replica jobs onto survivors."""

@@ -457,7 +457,7 @@ def declare_standard_families(registry: MetricsRegistry) -> None:
     )
     registry.counter(
         "repro_dispatch_cooldowns_total",
-        "Dispatcher 429-saturation cooldowns (node window shrunk, cell parked).",
+        "Dispatcher 429-saturation cooldowns (submission paused, cell kept queued).",
     )
     registry.counter(
         "repro_gateway_requests_total",

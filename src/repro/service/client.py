@@ -73,7 +73,8 @@ class ServiceUnavailable(ServiceError):
 
     ``saturated`` distinguishes a full queue (every attempt answered 429 —
     the node is alive, just busy) from a node that cannot be reached at all;
-    callers like the campaign dispatcher back off instead of failing over.
+    callers like the gateway and the campaign dispatcher back off instead of
+    failing over.
     """
 
     def __init__(self, url: str, attempts: int, cause: str, saturated: bool = False):
@@ -86,10 +87,10 @@ class ServiceUnavailable(ServiceError):
 class CircuitBreakerOpen(ServiceUnavailable):
     """Fail-fast: the breaker is open, no request was attempted.
 
-    Subclasses :class:`ServiceUnavailable` so existing callers (the campaign
-    dispatcher's node-loss handling above all) treat a breaker-protected node
-    exactly like an unreachable one — without paying connection timeouts to
-    find out again.
+    Subclasses :class:`ServiceUnavailable` so existing callers (the
+    gateway's proxy hop above all) treat a breaker-protected node exactly
+    like an unreachable one — without paying connection timeouts to find out
+    again.
     """
 
     def __init__(self, url: str, retry_in: float):

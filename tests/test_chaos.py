@@ -2,8 +2,8 @@
 
 The proxy tests drive real sockets against a tiny in-process upstream; the
 dispatch test at the bottom is the load-bearing one — a two-node campaign
-dispatched through fault-injecting proxies must still produce a report
-byte-identical to a fault-free run.
+whose in-process gateway reaches the nodes through fault-injecting proxies
+must still produce a report byte-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -278,7 +278,6 @@ class TestChaosDispatchEndToEnd:
         from repro.campaign import parse_spec
         from repro.campaign.dispatch import CampaignDispatcher
         from repro.service import create_server
-        from repro.service.client import ServiceClient
 
         servers, proxies, threads = [], [], []
         for index in range(2):
@@ -299,19 +298,12 @@ class TestChaosDispatchEndToEnd:
             proxies.append(proxy)
             threads.append(thread)
 
-        def resilient_client(url, **kwargs):
-            kwargs.setdefault("retries", 8)
-            kwargs.setdefault("backoff", 0.01)
-            kwargs.setdefault("timeout", 30.0)
-            return ServiceClient(url, **kwargs)
-
         try:
             clean = CampaignDispatcher(
                 parse_spec(SPEC),
                 [f"http://127.0.0.1:{server.port}" for server in servers],
                 tmp_path / "clean",
                 poll_interval=0.02,
-                client_factory=resilient_client,
             )
             assert clean.run()["report_written"]
 
@@ -320,7 +312,6 @@ class TestChaosDispatchEndToEnd:
                 [proxy.url for proxy in proxies],
                 tmp_path / "chaotic",
                 poll_interval=0.02,
-                client_factory=resilient_client,
             )
             stats = chaotic.run()
         finally:

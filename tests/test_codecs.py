@@ -580,10 +580,11 @@ class TestVersionedHTTPAPI:
 
 
 class TestDispatchCodecSkew:
-    def test_probe_refuses_a_node_missing_a_plan_codec(self, base, tmp_path):
-        """Codec-level registry skew is caught at probe time, not per cell."""
+    def test_node_on_another_registry_is_refused(self, tmp_path):
+        """A node that cannot run the plan's codec cells is refused at
+        admission (its registry digest differs), not per cell."""
         from repro.campaign.dispatch import CampaignDispatcher, DispatchError
-        from repro.service.client import ServiceClient
+        from repro.service import ScenarioRegistry
 
         spec = parse_spec({
             "name": "skew", "grids": [
@@ -592,25 +593,22 @@ class TestDispatchCodecSkew:
                  "params": {"rows": 16, "cols": 64}},
             ],
         })
-
-        def skewed_factory(url, **kwargs):
-            client = ServiceClient(url, retries=0, backoff=0.0)
-            real_codecs = client.codecs
-
-            def codecs_without_prune():
-                return [c for c in real_codecs() if c["name"] != "prune"]
-
-            client.codecs = codecs_without_prune
-            return client
-
-        dispatcher = CampaignDispatcher(
-            spec, [base], tmp_path / "run", client_factory=skewed_factory,
-        )
-        with pytest.raises(DispatchError):
-            dispatcher.run()
-        (node,) = dispatcher.nodes
-        assert not node.alive and "registry skew" in node.reason
-        assert "'prune'" in node.reason
+        default = build_default_registry()
+        without_codecs = ScenarioRegistry()
+        for name in default.names():
+            if name != "codec_compress":
+                without_codecs.register(default.get(name))
+        node = create_server(port=0, registry=without_codecs, max_workers=1)
+        threading.Thread(target=node.serve_forever, daemon=True).start()
+        try:
+            dispatcher = CampaignDispatcher(
+                spec, [f"http://127.0.0.1:{node.port}"], tmp_path / "run"
+            )
+            with pytest.raises(DispatchError, match="no reachable service node") as excinfo:
+                dispatcher.run()
+        finally:
+            node.close()
+        assert "registry skew" in str(excinfo.value)
 
 
 class TestAPISurfaceGuard:

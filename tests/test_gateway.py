@@ -705,6 +705,119 @@ class TestFailoverResurrection:
         assert record["job_id"] == gid
 
 
+# --------------------------------------------------------------------- #
+# Static admission of agent-less nodes (the dispatcher's --nodes path)
+# --------------------------------------------------------------------- #
+
+
+class TestStaticAdmission:
+    @pytest.fixture()
+    def static_plane(self):
+        """A gateway on the dispatcher's ephemeral timing over two agent-less
+        nodes; -> (gateway, url, [(server, node), ...])."""
+        gateway = create_gateway(
+            port=0, suspect_after=0.6, dead_after=1.5, sweep_interval=0.1
+        )
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        admitted = []
+        try:
+            for _ in range(2):
+                server = create_server(port=0, max_workers=2)
+                threading.Thread(target=server.serve_forever, daemon=True).start()
+                admitted.append(
+                    (server, gateway.admit_static(f"http://127.0.0.1:{server.port}"))
+                )
+            yield gateway, f"http://127.0.0.1:{gateway.port}", admitted
+        finally:
+            for server, _ in admitted:
+                server.close()
+            gateway.close()
+
+    def test_health_pull_keeps_an_agentless_node_healthy(self, static_plane):
+        import time
+
+        gateway, _, admitted = static_plane
+        time.sleep(1.0)  # well past suspect_after, and no agent heartbeats
+        for _, node in admitted:
+            record = gateway.nodes.get(node.node_id)
+            assert record.state == "healthy"
+            assert record.heartbeats >= 3
+
+    def test_closed_static_node_is_swept_dead_and_its_jobs_replayed(self, static_plane):
+        import time
+
+        gateway, url, admitted = static_plane
+        client = ServiceClient(url, timeout=10.0)
+        (victim, victim_node), (_, survivor_node) = admitted
+        # Find a job the ring places on the victim, let it finish there.
+        for seed in range(64):
+            body = {"type": "quantize_tensor", "params": {"rows": 16, "cols": 32, "seed": seed}}
+            record = client.request("POST", "/v1/jobs", body)
+            if record["node"] == victim_node.node_id:
+                break
+        else:
+            raise AssertionError("no digest routed to the victim")
+        wait_done(client, record["job_id"])
+        victim.close()
+        deadline = time.monotonic() + 10.0
+        while gateway.nodes.get(victim_node.node_id).state != "dead":
+            assert time.monotonic() < deadline, "closed node never swept dead"
+            time.sleep(0.05)
+        # An agent-less node streams no finish lines, so even its finished
+        # job is replayed onto the survivor and polls follow it there.
+        replayed = wait_done(client, record["job_id"])
+        assert replayed["state"] == "done" and replayed["job_id"] == record["job_id"]
+        assert gateway._failover[record["job_id"]][0] == survivor_node.node_id
+        assert gateway.nodes.get(survivor_node.node_id).state == "healthy"
+
+    def test_node_on_another_registry_is_refused_as_skew(self, static_plane):
+        gateway, _, _ = static_plane
+        registry = build_default_registry()
+        registry.add("extra", "a scenario the gateway lacks", lambda: 0)
+        server = create_server(port=0, registry=registry, max_workers=1)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with pytest.raises(RegistrySkewError, match="registry skew"):
+                gateway.admit_static(f"http://127.0.0.1:{server.port}")
+        finally:
+            server.close()
+        assert len(gateway.nodes.nodes()) == 2
+
+    def test_unreachable_node_is_refused_with_a_reason(self, static_plane):
+        from repro.service.client import ServiceError
+
+        gateway, _, _ = static_plane
+        with pytest.raises(ServiceError, match="unreachable"):
+            gateway.admit_static("http://127.0.0.1:1")
+        assert len(gateway.nodes.nodes()) == 2
+
+    def test_dispatcher_fails_when_every_url_is_refused(self, tmp_path):
+        from repro.campaign import parse_spec
+        from repro.campaign.dispatch import CampaignDispatcher, DispatchError
+
+        registry = build_default_registry()
+        registry.add("extra", "a scenario the plan's registry lacks", lambda: 0)
+        skewed = create_server(port=0, registry=registry, max_workers=1)
+        threading.Thread(target=skewed.serve_forever, daemon=True).start()
+        spec = parse_spec({
+            "name": "refused", "grids": [
+                {"name": "q", "scenario": "quantize_tensor", "params": {"rows": 8}},
+            ],
+        })
+        skewed_url = f"http://127.0.0.1:{skewed.port}"
+        try:
+            dispatcher = CampaignDispatcher(
+                spec, [skewed_url, "http://127.0.0.1:1"], tmp_path / "run"
+            )
+            with pytest.raises(DispatchError, match="no reachable service node") as excinfo:
+                dispatcher.run()
+        finally:
+            skewed.close()
+        message = str(excinfo.value)
+        assert f"{skewed_url}: registry skew" in message
+        assert "http://127.0.0.1:1" in message and "unreachable" in message
+
+
 def _raw_get(url: str) -> tuple[int, dict]:
     import urllib.error
     import urllib.request

@@ -3,8 +3,9 @@ end-to-end federated span tree.
 
 The load-bearing assertion lives in :class:`TestFederatedSpanTree`: a
 campaign cell dispatched to remote serve nodes yields ONE connected tree —
-client cell span -> node HTTP span -> worker job span -> codec span ->
-pipeline stage spans — queryable from ``stats["trace_id"]``.
+client cell span -> gateway request span -> node HTTP span -> worker job
+span -> codec span -> pipeline stage spans — queryable from
+``stats["trace_id"]``.
 """
 
 from __future__ import annotations
@@ -279,9 +280,15 @@ class TestFederatedSpanTree:
         assert _names(cells) == ["dispatch.cell", "dispatch.cell"]
         assert {cell["attrs"]["cell"] for cell in cells} == {"pipe/0", "pipe/1"}
         for cell in cells:
-            # Exactly the submit POST: poll GETs stay out of the trace.
-            assert _names(cell["children"]) == ["http.request"]
-            http = cell["children"][0]
+            # Exactly the submit POST, through the dispatcher's in-process
+            # gateway to one node: poll GETs stay out of the trace.
+            assert _names(cell["children"]) == ["gateway.request"]
+            front = cell["children"][0]
+            assert front["attrs"]["method"] == "POST"
+            assert front["attrs"]["route"] == "/v1/jobs"
+
+            assert _names(front["children"]) == ["http.request"]
+            http = front["children"][0]
             assert http["attrs"]["method"] == "POST"
             assert http["attrs"]["route"] == "/v1/jobs"
 
