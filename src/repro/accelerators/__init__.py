@@ -44,8 +44,10 @@ from .common import (
     BitSerialAccelerator,
     GroupCycleStats,
     LayerPerformance,
+    LayerProfile,
     ModelPerformance,
     expected_wave_cycles,
+    expected_wave_cycles_sweep,
 )
 from .pragmatic import PragmaticAccelerator
 from .sparten import SparTenAccelerator, sparten_pe
@@ -82,8 +84,10 @@ __all__ = [
     "BitSerialAccelerator",
     "GroupCycleStats",
     "LayerPerformance",
+    "LayerProfile",
     "ModelPerformance",
     "expected_wave_cycles",
+    "expected_wave_cycles_sweep",
     "PragmaticAccelerator",
     "SparTenAccelerator",
     "sparten_pe",

@@ -26,7 +26,6 @@ from ..area_power import PEDesign, bitvert_pe
 from ..common import (
     BitSerialAccelerator,
     GroupCycleStats,
-    ModelPerformance,
     column_ones,
     unsigned_words,
     weight_groups,
@@ -103,11 +102,8 @@ class BitVertAccelerator(BitSerialAccelerator):
         self._compressed[layer.name] = compressed
         return compressed
 
-    def run_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
-    ) -> ModelPerformance:
+    def prepare_model(self, model: ModelSpec, weights: dict[str, LayerWeights]) -> None:
         self.compress_model(model, weights)
-        return super().run_model(model, weights)
 
     # ------------------------------------------------------------------ cycles
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:

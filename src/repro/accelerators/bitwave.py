@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .area_power import PEDesign, bitwave_pe
-from .common import BitSerialAccelerator, GroupCycleStats, weight_groups
+from .common import BitSerialAccelerator, GroupCycleStats, LayerProfile, weight_groups
 from ..core.encoding import METADATA_BITS
 from ..nn.synthetic import LayerWeights
 from ..nn.workloads import GemmWorkload
@@ -115,9 +115,26 @@ class BitWaveAccelerator(BitSerialAccelerator):
         return np.repeat(mask.astype(np.int64), groups_per_channel)
 
     # ----------------------------------------------------------------- hooks
-    def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
+    def layer_profile(self, workload: GemmWorkload, layer: LayerWeights) -> LayerProfile:
+        # One bit-flip pass feeds both the cycle stats and the stored bytes.
         groups = self._pruned_groups(layer)
         kept = self._kept_columns(groups)
+        return LayerProfile(
+            workload=workload,
+            stats=self._cycle_stats(layer, groups, kept),
+            stored_weight_bytes=self._stored_bytes(workload, kept),
+        )
+
+    def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
+        groups = self._pruned_groups(layer)
+        return self._cycle_stats(layer, groups, self._kept_columns(groups))
+
+    def stored_weight_bytes(self, workload: GemmWorkload, layer: LayerWeights) -> float:
+        return self._stored_bytes(workload, self._kept_columns(self._pruned_groups(layer)))
+
+    def _cycle_stats(
+        self, layer: LayerWeights, groups: np.ndarray, kept: np.ndarray
+    ) -> GroupCycleStats:
         cycles_per_column = self.array.pe_group_size / self.array.lanes_per_pe
         actual = kept.astype(np.float64) * cycles_per_column
         partition = self._group_partition(layer)
@@ -132,8 +149,7 @@ class BitWaveAccelerator(BitSerialAccelerator):
         minimal = np.minimum(np.maximum(minimal, 1.0), actual)
         return GroupCycleStats(actual=actual, minimal=minimal, partition=partition)
 
-    def stored_weight_bytes(self, workload: GemmWorkload, layer: LayerWeights) -> float:
-        kept = self._kept_columns(self._pruned_groups(layer))
+    def _stored_bytes(self, workload: GemmWorkload, kept: np.ndarray) -> float:
         group = self.array.pe_group_size
         bits_per_group = kept.astype(np.float64) * group + METADATA_BITS
         mean_bits_per_weight = float(bits_per_group.mean()) / group

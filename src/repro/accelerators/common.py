@@ -45,11 +45,13 @@ from ..nn.workloads import GemmWorkload, layer_workload
 __all__ = [
     "ArrayConfig",
     "GroupCycleStats",
+    "LayerProfile",
     "LayerPerformance",
     "ModelPerformance",
     "Accelerator",
     "BitSerialAccelerator",
     "expected_wave_cycles",
+    "expected_wave_cycles_sweep",
 ]
 
 
@@ -119,6 +121,21 @@ class GroupCycleStats:
             self.partition = np.asarray(self.partition)
             if self.partition.shape != self.actual.shape:
                 raise ValueError("partition labels must match the group count")
+
+
+@dataclass
+class LayerProfile:
+    """What one layer costs on a design, whatever the array's column count.
+
+    The group cycle stats and the stored weight bytes depend on the weights
+    and the scheme, not on how many PE columns run in parallel;
+    :meth:`Accelerator.layer_performances` turns one profile into timing and
+    energy for any number of array geometries.
+    """
+
+    workload: GemmWorkload
+    stats: GroupCycleStats
+    stored_weight_bytes: float
 
 
 @dataclass
@@ -256,6 +273,37 @@ def expected_wave_cycles(
     return float(samples.max(axis=1).mean())
 
 
+def expected_wave_cycles_sweep(
+    per_group_cycles: np.ndarray,
+    parallel_groups: list[int],
+    num_batches: int = 512,
+    seed: int = 0,
+) -> list[float]:
+    """:func:`expected_wave_cycles` for several ``parallel_groups`` from one draw.
+
+    A seeded ``Generator.choice`` draw of ``n`` samples is the prefix of the
+    same seed's draw of any larger size, so every ``(num_batches, p)`` sample
+    matrix is the first ``num_batches * p`` values of a single draw at the
+    largest ``p``.  Each result equals the per-call function's exactly.
+    """
+    cycles = np.asarray(per_group_cycles, dtype=np.float64).ravel()
+    if cycles.size == 0:
+        return [0.0] * len(parallel_groups)
+    widest = max(parallel_groups, default=1)
+    draw = None
+    if widest > 1:
+        rng = np.random.default_rng(seed)
+        draw = rng.choice(cycles, size=num_batches * widest, replace=True)
+    results = []
+    for parallel in parallel_groups:
+        if parallel <= 1:
+            results.append(float(cycles.mean()))
+        else:
+            samples = draw[: num_batches * parallel].reshape(num_batches, parallel)
+            results.append(float(samples.max(axis=1).mean()))
+    return results
+
+
 class Accelerator:
     """Base class: one accelerator design evaluated on GEMM workloads."""
 
@@ -287,79 +335,115 @@ class Accelerator:
         """Activation precision moved through the memory system."""
         return workload.activation_bits
 
+    def prepare_model(self, model: ModelSpec, weights: dict[str, LayerWeights]) -> None:
+        """Set up model-wide state once per sweep, before any layer is profiled."""
+
     # -------------------------------------------------------------- execution
-    def run_layer(self, workload: GemmWorkload, layer: LayerWeights) -> LayerPerformance:
-        """Evaluate one layer and return its performance record."""
-        stats = self.group_cycle_stats(layer)
-        array = self.array
+    def layer_profile(self, workload: GemmWorkload, layer: LayerWeights) -> LayerProfile:
+        """The array-independent part of one layer's evaluation."""
+        return LayerProfile(
+            workload=workload,
+            stats=self.group_cycle_stats(layer),
+            stored_weight_bytes=self.stored_weight_bytes(workload, layer),
+        )
 
-        groups_per_channel = ceil(workload.k / array.pe_group_size)
-        channel_blocks = ceil(workload.n / array.pe_columns)
-        pixel_blocks = ceil(workload.m / array.pe_rows)
-        waves = groups_per_channel * channel_blocks
-
-        parallel = min(array.pe_columns, workload.n)
+    def layer_performances(
+        self, profile: LayerProfile, arrays: list[ArrayConfig]
+    ) -> list[LayerPerformance]:
+        """Timing and energy of one profiled layer on each array geometry."""
+        workload, stats = profile.workload, profile.stats
+        parallels = [min(array.pe_columns, workload.n) for array in arrays]
         if stats.partition is None:
-            wave_cycles = expected_wave_cycles(stats.actual, parallel)
+            wave_cycles = expected_wave_cycles_sweep(stats.actual, parallels)
         else:
             # Groups of different scheduling classes are never co-scheduled
             # (channel reordering); the wave expectation is the class-size
             # weighted mean of the per-class expectations.
-            wave_cycles = 0.0
+            wave_cycles = [0.0] * len(arrays)
             total = stats.actual.size
             for label in np.unique(stats.partition):
                 mask = stats.partition == label
                 fraction = mask.sum() / total
-                wave_cycles += fraction * expected_wave_cycles(stats.actual[mask], parallel)
+                per_class = expected_wave_cycles_sweep(stats.actual[mask], parallels)
+                for index, cycles in enumerate(per_class):
+                    wave_cycles[index] += fraction * cycles
         mean_actual = float(stats.actual.mean()) if stats.actual.size else 0.0
         mean_minimal = float(stats.minimal.mean()) if stats.minimal.size else 0.0
-
-        compute_cycles = waves * wave_cycles * pixel_blocks
-        useful = waves * mean_minimal * pixel_blocks
-        intra = waves * (mean_actual - mean_minimal) * pixel_blocks
-        inter = waves * (wave_cycles - mean_actual) * pixel_blocks
-
-        stored_bytes = self.stored_weight_bytes(workload, layer)
         traffic = self.memory.layer_traffic(
             workload,
-            stored_weight_bytes=stored_bytes,
+            stored_weight_bytes=profile.stored_weight_bytes,
             activation_bits=self.activation_bits(workload),
         )
-        dram_cycles = self.memory.dram_cycles(traffic, array.clock_ghz)
         dram_energy, sram_energy = self.memory.traffic_energy_pj(traffic)
-
         pe = self.pe_design()
-        active_pes = min(array.pe_columns, workload.n) * min(array.pe_rows, workload.m)
-        compute_energy = compute_cycles * active_pes * pe.energy_per_cycle_pj(array.clock_ghz)
 
-        return LayerPerformance(
-            name=workload.name,
-            compute_cycles=compute_cycles,
-            dram_cycles=dram_cycles,
-            useful_cycles=useful,
-            intra_pe_stall_cycles=intra,
-            inter_pe_stall_cycles=inter,
-            compute_energy_pj=compute_energy,
-            sram_energy_pj=sram_energy,
-            dram_energy_pj=dram_energy,
-            stored_weight_bytes=stored_bytes,
-            traffic=traffic,
-            repeat=workload.repeat,
-        )
+        performances = []
+        for array, wave in zip(arrays, wave_cycles, strict=True):
+            groups_per_channel = ceil(workload.k / array.pe_group_size)
+            channel_blocks = ceil(workload.n / array.pe_columns)
+            pixel_blocks = ceil(workload.m / array.pe_rows)
+            waves = groups_per_channel * channel_blocks
+
+            compute_cycles = waves * wave * pixel_blocks
+            active_pes = min(array.pe_columns, workload.n) * min(array.pe_rows, workload.m)
+            performances.append(
+                LayerPerformance(
+                    name=workload.name,
+                    compute_cycles=compute_cycles,
+                    dram_cycles=self.memory.dram_cycles(traffic, array.clock_ghz),
+                    useful_cycles=waves * mean_minimal * pixel_blocks,
+                    intra_pe_stall_cycles=waves * (mean_actual - mean_minimal) * pixel_blocks,
+                    inter_pe_stall_cycles=waves * (wave - mean_actual) * pixel_blocks,
+                    compute_energy_pj=(
+                        compute_cycles * active_pes * pe.energy_per_cycle_pj(array.clock_ghz)
+                    ),
+                    sram_energy_pj=sram_energy,
+                    dram_energy_pj=dram_energy,
+                    stored_weight_bytes=profile.stored_weight_bytes,
+                    traffic=traffic,
+                    repeat=workload.repeat,
+                )
+            )
+        return performances
+
+    def run_layer(self, workload: GemmWorkload, layer: LayerWeights) -> LayerPerformance:
+        """Evaluate one layer on this accelerator's array."""
+        return self.layer_performances(self.layer_profile(workload, layer), [self.array])[0]
+
+    def sweep_columns(
+        self,
+        model: ModelSpec,
+        weights: dict[str, LayerWeights],
+        column_counts: list[int] | tuple[int, ...],
+    ) -> list[ModelPerformance]:
+        """Evaluate a whole model once per PE column count, in order.
+
+        Every layer is profiled once (its group cycle stats and stored bytes
+        do not depend on the column count) and then timed on each geometry.
+        Only the current layer's profile is alive at any time, so the sweep
+        holds no more memory than a single :meth:`run_model`.
+        """
+        arrays = [self.array.with_columns(columns) for columns in column_counts]
+        results = [
+            ModelPerformance(accelerator=self.name, model=model.name, clock_ghz=array.clock_ghz)
+            for array in arrays
+        ]
+        self.prepare_model(model, weights)
+        for spec in model.layers:
+            if spec.name not in weights:
+                raise KeyError(f"missing weights for layer {spec.name!r}")
+            profile = self.layer_profile(layer_workload(spec), weights[spec.name])
+            for result, layer in zip(
+                results, self.layer_performances(profile, arrays), strict=True
+            ):
+                result.layers.append(layer)
+        return results
 
     def run_model(
         self, model: ModelSpec, weights: dict[str, LayerWeights]
     ) -> ModelPerformance:
         """Evaluate a whole model given its (synthetic) per-layer weights."""
-        result = ModelPerformance(
-            accelerator=self.name, model=model.name, clock_ghz=self.array.clock_ghz
-        )
-        for spec in model.layers:
-            if spec.name not in weights:
-                raise KeyError(f"missing weights for layer {spec.name!r}")
-            workload = layer_workload(spec)
-            result.layers.append(self.run_layer(workload, weights[spec.name]))
-        return result
+        return self.sweep_columns(model, weights, [self.array.pe_columns])[0]
 
 
 class BitSerialAccelerator(Accelerator):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .area_power import DEFAULT_GATE_COSTS, GateCosts, PEDesign
-from .common import BitSerialAccelerator, GroupCycleStats, ModelPerformance
+from .common import BitSerialAccelerator, GroupCycleStats
 from ..nn.model_zoo import ModelSpec
 from ..nn.synthetic import LayerWeights
 from ..nn.workloads import GemmWorkload
@@ -55,12 +55,11 @@ class SparTenAccelerator(BitSerialAccelerator):
     def pe_design(self) -> PEDesign:
         return sparten_pe()
 
-    def run_model(self, model: ModelSpec, weights) -> ModelPerformance:
+    def prepare_model(self, model: ModelSpec, weights) -> None:
         # Activation value sparsity is a property of the model family (ReLU
         # CNNs vs GELU transformers); pick it up from the model spec so one
         # SparTen instance can evaluate the whole benchmark suite.
         self.activation_sparsity = model.activation_value_sparsity
-        return super().run_model(model, weights)
 
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
         groups = self.layer_groups(layer)

@@ -10,14 +10,16 @@ The chosen constant is stored in the 6-bit BBS-constant metadata field and is
 subtracted back during computation (``actual = shifted_pruned - constant``).
 
 The search over the 64 possible 6-bit constants is exhaustive.  The fast path
-(:func:`zero_point_shift_groups`) batches candidate constants into chunked
-3-D int32 broadcasts, derives the per-candidate redundant-column counts from
-hoisted per-group extrema instead of full per-element scans, prunes rows
-through one shift-free vectorized kernel instead of per-``k`` mask passes,
-and eliminates candidates early through a rounding-distance lower bound on
-their error, scoring only the survivors.  The original per-candidate
-implementation is kept as :func:`zero_point_shift_groups_reference`; the two
-are bit-identical (property-tested in ``tests/test_perf_equivalence.py``).
+(:func:`zero_point_shift_groups`) evaluates all ``(candidate, group)`` pairs
+at once from per-group facts: the redundant/sparse column split follows from
+the group extrema, and a lower bound on each pair's squared error — the
+rounding distance of the shifted weights to block multiples — follows from
+per-group residue histograms.  A pair whose extrema show that nothing clips
+and no penalty or rounding limit can interfere is *exact*: its error equals
+the bound.  Only the other pairs that could still beat the best exact bound
+are scored element by element.  The original per-candidate implementation is
+kept as :func:`zero_point_shift_groups_reference`; the two are bit-identical
+(property-tested in ``tests/test_perf_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ __all__ = [
     "zero_point_shift_groups_reference",
 ]
 
-#: Candidate constants per batched broadcast; 16 keeps every chunk temporary
-#: of a 512x2048 layer (8192 groups of 32) near 16 MB in int32.
-_CANDIDATE_CHUNK = 16
-
-#: Group rows per batched broadcast (bounds peak memory for huge layers).
+#: Group rows per search block: bounds the ``(candidates, groups)`` arrays.
 _GROUP_BLOCK = 8192
+
+#: Weights per element-wise scoring pass (bounds its int32 temporaries).
+_SCORE_ELEMENTS = 1 << 19
 
 
 def _constant_candidates(constant_bits: int) -> np.ndarray:
@@ -152,54 +153,15 @@ def zero_point_shift_groups(
     gmax = groups_w.max(axis=1)
     gmin = groups_w.min(axis=1)
 
-    # The search only selects; all errors are exact integers, so the per-group
-    # squared error (SSE) is tracked in int64 and compared exactly.  The
-    # reference compares float64 MSEs, but those equal SSE / group_size with
-    # every intermediate exactly representable, so integer SSE order matches
-    # the reference float order, and ties break toward the smaller constant —
-    # exactly the reference's ascending scan with strict improvement.
-    sse_sentinel = np.iinfo(np.int64).max
-    best_sse = np.full(num_groups, sse_sentinel, dtype=np.int64)
-    best_constant = np.zeros(num_groups, dtype=np.int64)
-
-    # Contiguous ascending chunks, visited centre-out: near-zero shifts win
-    # almost always, so scoring them first (with the closest chunk halved to
-    # shrink the one dense, unbounded pass) makes the elimination bound tight
-    # for the outer chunks.  Selection is order-independent because ties
-    # resolve on (SSE, constant).
-    chunks = [
-        candidates[start : start + _CANDIDATE_CHUNK]
-        for start in range(0, candidates.size, _CANDIDATE_CHUNK)
-    ]
-    chunks.sort(key=lambda chunk: int(np.abs(chunk).min()))
-    if chunks[0].size > 1:
-        half = chunks[0].size // 2
-        chunks[:1] = [chunks[0][:half], chunks[0][half:]]
-        chunks.sort(key=lambda chunk: int(np.abs(chunk).min()))
-
-    max_chunk = max(chunk.size for chunk in chunks)
+    best_constant = np.empty(num_groups, dtype=np.int64)
     for g0 in range(0, num_groups, _GROUP_BLOCK):
         g1 = min(g0 + _GROUP_BLOCK, num_groups)
-        sub = groups_w[g0:g1]
-        scratch = np.empty((2, max_chunk, g1 - g0, group_size), dtype=work)
-        for chunk in chunks:
-            _search_chunk(
-                sub,
-                gmax[g0:g1],
-                gmin[g0:g1],
-                chunk,
-                num_columns,
-                bits,
-                lo,
-                hi,
-                scratch,
-                best_sse[g0:g1],
-                best_constant[g0:g1],
-            )
+        best_constant[g0:g1] = _search_block(
+            groups_w[g0:g1], gmax[g0:g1], gmin[g0:g1], candidates, num_columns, bits, lo, hi
+        )
 
-    # Reconstruct the winning candidate's full result in one 2-D pass; this is
-    # 1/len(candidates) of the search work and lets the search track nothing
-    # but (SSE, constant) per group.
+    # Reconstruct the winning candidate's full result in one 2-D pass, so the
+    # search tracks nothing but the winning constant per group.
     cw = best_constant.astype(work)
     unclipped = groups_w + cw[:, None]
     clipped = np.clip(unclipped, lo, hi)
@@ -227,10 +189,12 @@ def _redundant_sparse(
     alone — no per-element pass inside the candidate loop.
     """
     magnitudes = np.maximum(shifted_max, -shifted_min - 1)
-    bit_length = (
-        np.floor(np.log2(magnitudes.astype(np.float64) + 0.5)).astype(np.int64) + 1
-    )
-    redundant = np.clip(bits - (bit_length + 1), 0, MAX_REDUNDANT_COLUMNS)
+    # bits - 1 - bit_length(m), clipped to [0, MAX_REDUNDANT_COLUMNS], counts
+    # the j in 1..MAX_REDUNDANT_COLUMNS with bit_length(m) <= bits - 1 - j,
+    # i.e. with m < 2**(bits - 1 - j).
+    redundant = np.zeros(magnitudes.shape, dtype=np.int64)
+    for j in range(1, min(MAX_REDUNDANT_COLUMNS, bits - 1) + 1):
+        redundant += magnitudes < (1 << (bits - 1 - j))
     redundant = np.minimum(redundant, num_columns)
     return redundant, num_columns - redundant
 
@@ -317,95 +281,106 @@ def _score_rows(
     return np.einsum("ns,ns->n", err_down, err_down).astype(np.int64, copy=False)
 
 
-def _search_chunk(
+def _rounding_bound(
+    sub: np.ndarray, candidates: np.ndarray, sparse: np.ndarray, num_columns: int
+) -> np.ndarray:
+    """``(candidates, groups)`` lower bound on every pair's squared error.
+
+    Every stored value is a multiple of the pair's block ``2**sparse``, so its
+    error is at least the distance of the unclipped shifted weight to the
+    nearest block multiple, which depends only on the weight's residue modulo
+    the block.  Per group, a histogram of residues modulo ``2**s`` times the
+    squared distances of ``residue + candidate`` gives the bound of every
+    candidate at block ``2**s``; coarser histograms fold out of the finest.
+    """
+    num_groups, _ = sub.shape
+    width = 1 << num_columns
+    rows = np.arange(num_groups, dtype=np.int64)[:, None] * width
+    # Counts and sums of squared distances stay far below 2**53, so float64
+    # (for a BLAS product) holds them exactly.
+    hist = np.bincount(
+        ((sub & (width - 1)) + rows).ravel(), minlength=num_groups * width
+    ).reshape(num_groups, width).astype(np.float64)
+    bound = np.zeros(sparse.shape, dtype=np.int64)
+    for s in range(num_columns, 0, -1):
+        if s < num_columns:
+            hist = hist[:, : 1 << s] + hist[:, 1 << s :]
+        mask = sparse == s
+        if not mask.any():
+            continue
+        modulus = 1 << s
+        residues = (candidates[:, None] + np.arange(modulus)) & (modulus - 1)
+        distance = np.minimum(residues, modulus - residues).astype(np.float64)
+        np.copyto(bound, (distance * distance) @ hist.T, where=mask, casting="unsafe")
+    return bound
+
+
+def _search_block(
     sub: np.ndarray,
     sub_max: np.ndarray,
     sub_min: np.ndarray,
-    chunk: np.ndarray,
+    candidates: np.ndarray,
     num_columns: int,
     bits: int,
     lo: int,
     hi: int,
-    scratch: np.ndarray,
-    best_sse: np.ndarray,
-    best_constant: np.ndarray,
-) -> None:
-    """Score one ascending chunk of candidate constants; update bests in place."""
-    num_blockgroups, group_size = sub.shape
-    num_candidates = chunk.size
-    work = sub.dtype
-    cs = chunk.astype(work)
+) -> np.ndarray:
+    """Winning constant of every group of one block (first minimum SSE)."""
+    work = sub.dtype.type
+    cs = candidates.astype(sub.dtype)[:, None]
+    shifted_max = sub_max + cs
+    shifted_min = sub_min + cs
     redundant, sparse = _redundant_sparse(
-        np.clip(sub_max[None, :] + cs[:, None], lo, hi),
-        np.clip(sub_min[None, :] + cs[:, None], lo, hi),
-        bits,
-        num_columns,
+        np.clip(shifted_max, lo, hi), np.clip(shifted_min, lo, hi), bits, num_columns
     )
+    bound = _rounding_bound(sub, candidates, sparse, num_columns)
 
-    sse_sentinel = np.iinfo(np.int64).max
-    if best_sse[0] != sse_sentinel:
-        # Early candidate elimination: every stored value is a multiple of the
-        # group's block, so a candidate's SSE is at least the rounding
-        # distance of the *unclipped* shifted weights to block multiples.  A
-        # bound strictly above the incumbent can never win (ties keep the
-        # incumbent's smaller constant, found in an earlier, closer-to-zero
-        # chunk), so only the surviving rows are gathered and scored.
-        block3 = (work.type(1) << sparse.astype(work, copy=False))[:, :, None]
-        residue = np.add(
-            sub[None, :, :], cs[:, None, None], out=scratch[0, :num_candidates]
-        )
-        np.bitwise_and(residue, block3 - work.type(1), out=residue)
-        other = np.subtract(block3, residue, out=scratch[1, :num_candidates])
-        np.minimum(residue, other, out=residue)
-        bound_sse = np.einsum("cgs,cgs->cg", residue, residue)
-        active = bound_sse <= best_sse[None, :]
-        if not active.any():
-            return
-        ci, gi = np.nonzero(active)
-        unclipped = sub[gi] + cs[ci][:, None]
-        sse_rows = _score_rows(
+    # A pair is exact when its extrema show that every weight takes the
+    # block multiple nearest to it, so its SSE is exactly the bound:
+    # * no weight clips;
+    # * rounding down never leaves the decodable range, or only the weights
+    #   of the lowest block could, and those all lie at or past the block's
+    #   midpoint and may round up;
+    # * rounding up never passes the decodable range or the redundant-column
+    #   limit, or only the weights of the highest block could, and those all
+    #   lie at or below the block's midpoint (a tie rounds down).
+    block = work(1) << sparse.astype(sub.dtype)
+    low_bits = block - work(1)
+    limit = np.minimum(
+        np.minimum((np.int64(1) << (bits - 1 - redundant)) - 1, hi).astype(sub.dtype),
+        cs + work(hi),
+    )
+    floor_min = shifted_min & -block
+    floor_max = shifted_max & -block
+    exact = (shifted_min >= lo) & (shifted_max <= hi)
+    exact &= (floor_min >= cs + work(lo)) | (
+        (2 * (shifted_min & low_bits) >= block) & (floor_min + block <= limit)
+    )
+    exact &= (floor_max + block <= limit) | (2 * (shifted_max & low_bits) <= block)
+
+    sse = np.where(exact, bound, np.iinfo(np.int64).max)
+    # The SSE of any pair is at least its bound, so a non-exact pair whose
+    # bound exceeds the group's best exact SSE can never win (nor tie); only
+    # the rest is scored element by element.
+    ci, gi = np.nonzero(~exact & (bound <= sse.min(axis=0)))
+    constants = cs[:, 0]
+    step = max(1, _SCORE_ELEMENTS // sub.shape[1])
+    for start in range(0, ci.size, step):
+        c_rows, g_rows = ci[start : start + step], gi[start : start + step]
+        unclipped = sub[g_rows] + constants[c_rows][:, None]
+        sse[c_rows, g_rows] = _score_rows(
             unclipped,
             np.clip(unclipped, lo, hi),
-            sparse[ci, gi],
-            redundant[ci, gi],
-            cs[ci],
+            sparse[c_rows, g_rows],
+            redundant[c_rows, g_rows],
+            constants[c_rows],
             bits,
             lo,
             hi,
         )
-        chunk_sse = np.full(
-            (num_candidates, num_blockgroups), sse_sentinel, dtype=np.int64
-        )
-        chunk_sse[ci, gi] = sse_rows
-    else:
-        unclipped = np.add(
-            sub[None, :, :], cs[:, None, None], out=scratch[0, :num_candidates]
-        ).reshape(num_candidates * num_blockgroups, group_size)
-        clipped = np.clip(unclipped, lo, hi, out=scratch[1, :num_candidates].reshape(
-            num_candidates * num_blockgroups, group_size
-        ))
-        chunk_sse = _score_rows(
-            unclipped,
-            clipped,
-            sparse.reshape(-1),
-            redundant.reshape(-1),
-            np.repeat(cs, num_blockgroups),
-            bits,
-            lo,
-            hi,
-        ).reshape(num_candidates, num_blockgroups)
-
-    # First minimum along the ascending chunk == smallest winning constant.
-    winner = np.argmin(chunk_sse, axis=0)
-    group_index = np.arange(num_blockgroups)
-    win_sse = chunk_sse[winner, group_index]
-    win_constant = chunk[winner]
-    improved = (win_sse < best_sse) | (
-        (win_sse == best_sse) & (win_constant < best_constant)
-    )
-    improved &= win_sse != sse_sentinel
-    best_sse[improved] = win_sse[improved]
-    best_constant[improved] = win_constant[improved]
+    # First minimum over the ascending candidates == smallest winning
+    # constant, exactly the reference's strict-improvement scan.
+    return candidates[np.argmin(sse, axis=0)]
 
 
 def zero_point_shift_groups_reference(

@@ -23,7 +23,6 @@ import numpy as np
 from .benchmarks import ACCELERATOR_NAMES, BENCHMARK_MODEL_NAMES, BenchmarkSuite
 from .reporting import format_table, geometric_mean, to_jsonable
 from ..accelerators import (
-    ArrayConfig,
     BitletAccelerator,
     BitVertAccelerator,
     BitWaveAccelerator,
@@ -611,13 +610,23 @@ def figure13_energy(
     return {"rows": rows, "results": results, "table": format_table(rows, title="Figure 13")}
 
 
-def _load_balance_accelerators(array: ArrayConfig) -> dict[str, object]:
-    return {
+def _column_sweeps(
+    suite: BenchmarkSuite, model_name: str, column_counts: tuple[int, ...]
+) -> dict[str, list[ModelPerformance]]:
+    """Figures 14/15 line-up: one column sweep per accelerator on one model."""
+    model = suite.model(model_name)
+    weights = suite.weights(model_name)
+    array = suite.array
+    accelerators = {
         "Stripes": StripesAccelerator(array=array),
         "Pragmatic": PragmaticAccelerator(array=array),
         "Bitlet": BitletAccelerator(array=array),
         "BitWave": BitWaveAccelerator(array=array),
         "BitVert": BitVertAccelerator(preset=MODERATE_PRESET, array=array),
+    }
+    return {
+        name: accelerator.sweep_columns(model, weights, column_counts)
+        for name, accelerator in accelerators.items()
     }
 
 
@@ -631,17 +640,12 @@ def figure14_load_balance(
     suite = suite or BenchmarkSuite()
     rows = []
     for model_name in models:
-        model = suite.model(model_name)
-        weights = suite.weights(model_name)
-        for columns in column_counts:
-            array = suite.array.with_columns(columns)
-            accelerators = _load_balance_accelerators(array)
-            baseline = accelerators["Stripes"].run_model(model, weights)
+        sweeps = _column_sweeps(suite, model_name, column_counts)
+        baselines = sweeps.pop("Stripes")
+        for index, columns in enumerate(column_counts):
             row: dict[str, object] = {"model": model_name, "pe_columns": columns}
-            for name, accelerator in accelerators.items():
-                if name == "Stripes":
-                    continue
-                row[name] = accelerator.run_model(model, weights).speedup_over(baseline)
+            for name, performances in sweeps.items():
+                row[name] = performances[index].speedup_over(baselines[index])
             rows.append(row)
     return {"rows": rows, "table": format_table(rows, title="Figure 14")}
 
@@ -656,20 +660,16 @@ def figure15_stall_breakdown(
     suite = suite or BenchmarkSuite()
     rows = []
     for model_name in models:
-        model = suite.model(model_name)
-        weights = suite.weights(model_name)
-        for columns in column_counts:
-            array = suite.array.with_columns(columns)
-            for name, accelerator in _load_balance_accelerators(array).items():
-                if name == "Stripes":
-                    continue
-                breakdown = accelerator.run_model(model, weights).cycle_breakdown()
+        sweeps = _column_sweeps(suite, model_name, column_counts)
+        del sweeps["Stripes"]
+        for index, columns in enumerate(column_counts):
+            for name, performances in sweeps.items():
                 rows.append(
                     {
                         "model": model_name,
                         "pe_columns": columns,
                         "accelerator": name,
-                        **breakdown,
+                        **performances[index].cycle_breakdown(),
                     }
                 )
     return {"rows": rows, "table": format_table(rows, title="Figure 15")}

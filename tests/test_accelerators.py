@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accelerators import (
     AntAccelerator,
@@ -16,6 +18,7 @@ from repro.accelerators import (
     SparTenAccelerator,
     StripesAccelerator,
     expected_wave_cycles,
+    expected_wave_cycles_sweep,
 )
 from repro.core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
 from repro.nn.model_zoo import get_model
@@ -98,6 +101,30 @@ class TestExpectedWaveCycles:
 
     def test_empty(self):
         assert expected_wave_cycles(np.array([]), 8) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 3000),
+        parallels=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        num_batches=st.integers(1, 600),
+    )
+    def test_sweep_equals_per_call_draws(self, size, parallels, seed, num_batches):
+        # One draw at the widest parallelism, sliced per count, must give
+        # exactly what one draw per count gives.
+        cycles = np.random.default_rng(seed).integers(1, 17, size).astype(np.float64)
+        swept = expected_wave_cycles_sweep(cycles, parallels, num_batches, seed)
+        assert swept == [
+            expected_wave_cycles(cycles, parallel, num_batches, seed) for parallel in parallels
+        ]
+
+    def test_sweep_large_population_and_empty(self):
+        cycles = np.random.default_rng(3).integers(2, 9, 70_000).astype(np.float64)
+        counts = [2, 4, 8, 16, 32]
+        assert expected_wave_cycles_sweep(cycles, counts) == [
+            expected_wave_cycles(cycles, parallel) for parallel in counts
+        ]
+        assert expected_wave_cycles_sweep(np.array([]), [1, 8]) == [0.0, 0.0]
 
 
 class TestCycleModels:
@@ -239,6 +266,62 @@ class TestModelLevelOrderings:
     def test_edp_positive(self, accelerator_results):
         for result in accelerator_results.values():
             assert result.energy_delay_product > 0
+
+
+class TestColumnSweep:
+    """``sweep_columns`` must equal one ``run_model`` per geometry, exactly."""
+
+    COLUMN_COUNTS = (2, 4, 8, 16, 32)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            StripesAccelerator,
+            PragmaticAccelerator,
+            BitletAccelerator,
+            BitWaveAccelerator,
+            SparTenAccelerator,
+            AntAccelerator,
+            lambda array: BitVertAccelerator(preset=CONSERVATIVE_PRESET, array=array),
+            lambda array: BitVertAccelerator(preset=MODERATE_PRESET, array=array),
+        ],
+        ids=[
+            "Stripes", "Pragmatic", "Bitlet", "BitWave", "SparTen", "ANT",
+            "BitVert-cons", "BitVert-mod",
+        ],
+    )
+    @pytest.mark.parametrize("model_name", ["ResNet-50", "ViT-Small"])
+    def test_sweep_equals_per_geometry_run_model(
+        self, make, model_name, small_resnet_weights, small_vit_weights
+    ):
+        model = get_model(model_name)
+        weights = small_resnet_weights if model_name == "ResNet-50" else small_vit_weights
+        swept = make(array=SMALL_ARRAY).sweep_columns(model, weights, self.COLUMN_COUNTS)
+        assert len(swept) == len(self.COLUMN_COUNTS)
+        for columns, performance in zip(self.COLUMN_COUNTS, swept):
+            single = make(array=SMALL_ARRAY.with_columns(columns)).run_model(model, weights)
+            # Dataclass equality: every LayerPerformance field, exact floats.
+            assert performance == single
+            assert performance.total_cycles == single.total_cycles
+
+    def test_run_model_is_the_one_count_sweep(self, resnet_model, small_resnet_weights):
+        accelerator = BitWaveAccelerator(array=SMALL_ARRAY)
+        (swept,) = accelerator.sweep_columns(
+            resnet_model, small_resnet_weights, [SMALL_ARRAY.pe_columns]
+        )
+        assert swept == accelerator.run_model(resnet_model, small_resnet_weights)
+
+    def test_bitwave_profile_matches_separate_hooks(self, small_resnet_weights):
+        accelerator = BitWaveAccelerator(array=SMALL_ARRAY)
+        spec = get_model("ResNet-50").layers[5]
+        workload = layer_workload(spec)
+        layer = small_resnet_weights[spec.name]
+        profile = accelerator.layer_profile(workload, layer)
+        stats = accelerator.group_cycle_stats(layer)
+        assert np.array_equal(profile.stats.actual, stats.actual)
+        assert np.array_equal(profile.stats.minimal, stats.minimal)
+        assert np.array_equal(profile.stats.partition, stats.partition)
+        assert profile.stored_weight_bytes == accelerator.stored_weight_bytes(workload, layer)
 
 
 class TestLoadBalanceScaling:

@@ -29,6 +29,7 @@ from repro.core import (
     memo_stats,
     prune_tensor,
 )
+from repro.core import zero_point_shift as zps_module
 from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
@@ -146,6 +147,68 @@ class TestZeroPointShiftEquivalence:
             np.round(rng.normal(0, 24, (9000, 32))), -128, 127
         ).astype(np.int64)
         assert_search_matches(groups, 4)
+
+
+#: One group per non-exact branch of the zero-point search: for some
+#: candidate constants the group's extrema show that a weight clips, that a
+#: rounded-down value could leave the decodable range, that a rounded-up value
+#: could exceed it, or that it could pass the redundant-column limit, and
+#: such a pair's bound is low enough that it must be scored element by
+#: element.  (Found by enumerating random groups against the exactness rule.)
+NON_EXACT_BRANCHES = {
+    "clipping": (6, [35, 2, -59, -50, -118, -109, -124, -84]),
+    "down_penalty": (6, [-127, 34, -75, 45, 35, 64, -50, 57]),
+    "up_penalty": (4, [101, 113, 96, 125, -104, 124, 66, 114]),
+    "up_limit": (5, [-14, 40, -26, -37, 40, 52, -59, -62]),
+}
+
+
+class TestZeroPointShiftBranches:
+    """The exact/scored split of the search, branch by branch, vs the oracle."""
+
+    @staticmethod
+    def scored_rows(groups: np.ndarray, num_columns: int) -> int:
+        with mock.patch.object(
+            zps_module, "_score_rows", wraps=zps_module._score_rows
+        ) as score:
+            assert_search_matches(groups, num_columns)
+        return sum(call.args[0].shape[0] for call in score.call_args_list)
+
+    @pytest.mark.parametrize("branch", sorted(NON_EXACT_BRANCHES))
+    def test_non_exact_branch_is_scored_and_matches(self, branch):
+        num_columns, group = NON_EXACT_BRANCHES[branch]
+        assert self.scored_rows(np.array([group], dtype=np.int64), num_columns) > 0
+
+    def test_exact_only_groups_need_no_scoring(self):
+        groups = np.array([[3, -2, 1, 0, 2, -1, 1, 0]], dtype=np.int64)
+        assert self.scored_rows(groups, 1) == 0
+
+    def test_branches_mixed_in_one_layer_across_passes_and_blocks(self):
+        rng = np.random.default_rng(11)
+        rows = [group for _, group in NON_EXACT_BRANCHES.values()]
+        noise = np.clip(np.round(rng.normal(0, 30, (40, 8))), -128, 127).astype(np.int64)
+        groups = np.concatenate([np.array(rows * 5, dtype=np.int64), noise])
+        groups = groups[rng.permutation(len(groups))]
+        with mock.patch.object(zps_module, "_GROUP_BLOCK", 7), mock.patch.object(
+            zps_module, "_SCORE_ELEMENTS", 24
+        ):
+            for num_columns in range(7):
+                assert_search_matches(groups, num_columns)
+
+    @given(
+        st.integers(0, 6),
+        st.integers(1, 32),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_edge_magnitudes(self, num_columns, group_size, num_groups, seed):
+        # Weights drawn from the word edges and zero, where clipping and the
+        # range penalties concentrate.
+        rng = np.random.default_rng(seed)
+        palette = np.array([-128, -127, -126, -120, -1, 0, 1, 120, 125, 126, 127])
+        groups = rng.choice(palette, size=(num_groups, group_size))
+        assert_search_matches(groups, num_columns)
 
 
 class TestMemoizedCompressionEquivalence:
