@@ -181,10 +181,8 @@ class CampaignDispatcher:
             dead_after=_DEAD_AFTER,
             sweep_interval=_SWEEP_INTERVAL,
         )
-        # A short poll interval keeps close() (which waits out one poll) quick.
         threading.Thread(
-            target=gateway.serve_forever, args=(0.05,), name="dispatch-gateway",
-            daemon=True,
+            target=gateway.serve_forever, name="dispatch-gateway", daemon=True
         ).start()
         return gateway
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
@@ -58,6 +57,7 @@ from ..service.http import (
     API_VERSION,
     HTTPError,
     JSONRequestHandler,
+    JSONServer,
     parse_wait,
     retry_after,
 )
@@ -124,12 +124,15 @@ class NoRouteError(Exception):
 
 
 class FleetSaturated(Exception):
-    """The digest's node answered 429 through every attempt."""
+    """The digest's node answered 429 through every attempt.
 
-    def __init__(self, node_id: str, cause: str, retry_after: float = 1.0):
+    ``retry_after`` is the node's own last hint, or one second without one.
+    """
+
+    def __init__(self, node_id: str, cause: str, retry_after: float | None = None):
         super().__init__(f"node {node_id} saturated: {cause}")
         self.node_id = node_id
-        self.retry_after = retry_after
+        self.retry_after = 1.0 if retry_after is None else retry_after
 
 
 class _GatewayHandler(JSONRequestHandler):
@@ -361,10 +364,8 @@ class _GatewayHandler(JSONRequestHandler):
             raise HTTPError(404, f"no such node operation {op!r}")
 
 
-class GatewayServer(ThreadingHTTPServer):
+class GatewayServer(JSONServer):
     """HTTP gateway owning the node registry, hash ring, and replica store."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -414,20 +415,10 @@ class GatewayServer(ThreadingHTTPServer):
             daemon=True,
         )
         self._sweeper.start()
-        self._serving = False
 
     @property
     def port(self) -> int:
         return self.server_address[1]
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        with self._lock:
-            self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            with self._lock:
-                self._serving = False
 
     def begin_drain(self) -> None:
         """Flip ``GET /v1/readyz`` to 503 ahead of a graceful shutdown."""
@@ -435,11 +426,7 @@ class GatewayServer(ThreadingHTTPServer):
 
     def close(self) -> None:
         self._stop.set()
-        # BaseServer.shutdown() waits on an event only serve_forever() sets
-        # on exit; skip it for a gateway that never entered the serve loop.
-        if self._serving:
-            self.shutdown()
-        self.server_close()
+        self.stop_listening()
         self._sweeper.join(timeout=5.0)
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
@@ -572,7 +559,7 @@ class GatewayServer(ThreadingHTTPServer):
                 )
             except ServiceUnavailable as error:
                 if error.saturated:
-                    raise FleetSaturated(target, str(error)) from None
+                    raise FleetSaturated(target, str(error), error.retry_after) from None
                 self.nodes.mark_suspect(target, str(error))
                 tried.add(target)
                 last_error = str(error)

@@ -74,13 +74,22 @@ class ServiceUnavailable(ServiceError):
     ``saturated`` distinguishes a full queue (every attempt answered 429 —
     the node is alive, just busy) from a node that cannot be reached at all;
     callers like the gateway and the campaign dispatcher back off instead of
-    failing over.
+    failing over.  ``retry_after`` is the last answer's retry hint in
+    seconds, or ``None`` when it carried none.
     """
 
-    def __init__(self, url: str, attempts: int, cause: str, saturated: bool = False):
+    def __init__(
+        self,
+        url: str,
+        attempts: int,
+        cause: str,
+        saturated: bool = False,
+        retry_after: float | None = None,
+    ):
         self.url = url
         self.attempts = attempts
         self.saturated = saturated
+        self.retry_after = retry_after
         super().__init__(f"{url}: unreachable after {attempts} attempt(s): {cause}")
 
 
@@ -330,13 +339,13 @@ class ServiceClient:
             if attempt:
                 if retry_hint is not None:
                     self._sleep(retry_hint)
-                    retry_hint = None
                 else:
                     self._sleep(self.backoff * (2 ** (attempt - 1)))
                 if on_retry is not None:
                     resolved = on_retry()
                     if resolved is not None:
                         return resolved
+            retry_hint = None
             try:
                 maybe_fail("client.request")
                 request = urllib.request.Request(url, data=data, headers=headers, method=method)
@@ -381,7 +390,11 @@ class ServiceClient:
                 self._count_retry(last_cause, attempt, attempts)
                 continue
         raise ServiceUnavailable(
-            url, attempts, last_cause, saturated=last_cause == "HTTP 429"
+            url,
+            attempts,
+            last_cause,
+            saturated=last_cause == "HTTP 429",
+            retry_after=retry_hint,
         )
 
     def _count_retry(self, cause: str, attempt: int, attempts: int) -> None:

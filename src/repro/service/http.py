@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import selectors
+import socket
+import threading
 import time
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..chaos.plan import maybe_fail
@@ -31,6 +34,7 @@ __all__ = [
     "API_VERSION",
     "HTTPError",
     "JSONRequestHandler",
+    "JSONServer",
     "MAX_BODY_BYTES",
     "MAX_WAIT_SECONDS",
     "parse_deadline",
@@ -96,6 +100,65 @@ def retry_after(seconds: float) -> dict[str, str]:
     hint (the header grammar wants whole seconds); JSON bodies carry the
     precise float for clients that parse it."""
     return {"Retry-After": str(max(1, math.ceil(seconds)))}
+
+
+class JSONServer(ThreadingHTTPServer):
+    """Threaded HTTP server whose :meth:`shutdown` wakes the serve loop at once.
+
+    ``BaseServer.shutdown`` only raises a flag that ``serve_forever`` checks
+    between polls, so every teardown waited out up to one poll interval
+    (0.5 s by default).  This serve loop also watches a wake-up socket that
+    :meth:`shutdown` writes to.  :meth:`shutdown` on a server that is not
+    serving returns at once instead of blocking forever.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stop_requested = False
+        self._idle = threading.Event()
+        self._idle.set()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._idle.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select(poll_interval)
+                    if self._stop_requested:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._wake_reader.recv(64)
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._idle.set()
+
+    def shutdown(self) -> None:
+        """Stop the serve loop and wait until it has exited."""
+        self._stop_requested = True
+        try:
+            self._wake_writer.send(b"\0")
+        except OSError:
+            pass  # already closed: no loop left to wake
+        self._idle.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
+
+    def stop_listening(self) -> None:
+        """Stop serving (if serving) and close the listening socket."""
+        self.shutdown()
+        self.server_close()
 
 
 class JSONRequestHandler(BaseHTTPRequestHandler):

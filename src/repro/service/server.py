@@ -56,7 +56,6 @@ silently dropped keep-alive connection.
 from __future__ import annotations
 
 import time
-from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from ..core.cache import ResultCache
@@ -67,6 +66,7 @@ from .http import (
     API_VERSION,
     HTTPError,
     JSONRequestHandler,
+    JSONServer,
     parse_deadline,
     parse_wait,
     retry_after,
@@ -524,10 +524,8 @@ class _RequestHandler(JSONRequestHandler):
             self._send_json(200, record)
 
 
-class ReproServer(ThreadingHTTPServer):
+class ReproServer(JSONServer):
     """HTTP server owning the registry, cache, worker pool, and journal."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -571,26 +569,10 @@ class ReproServer(ThreadingHTTPServer):
         self.ready = True
         self.started_at = time.time()
         self.verbose = verbose
-        self._serving = False
 
     @property
     def port(self) -> int:
         return self.server_address[1]
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self._serving = False
-
-    def _stop_listening(self) -> None:
-        # BaseServer.shutdown() waits on an event that only serve_forever()
-        # sets on exit; calling it on a server that never served (e.g. the
-        # CLI's failed-registration path) would block forever.
-        if self._serving:
-            self.shutdown()
-        self.server_close()
 
     def begin_drain(self) -> None:
         """Flip ``GET /v1/readyz`` to 503 ahead of a graceful shutdown.
@@ -607,7 +589,7 @@ class ReproServer(ThreadingHTTPServer):
         ``wait=False`` abandons in-flight jobs instead of draining them
         (the CLI uses this so Ctrl-C exits promptly).
         """
-        self._stop_listening()
+        self.stop_listening()
         self.pool.shutdown(wait=wait)
         if self.journal is not None:
             self.journal.close()
@@ -627,7 +609,7 @@ class ReproServer(ThreadingHTTPServer):
         self.draining = True
         with self.pool._lock:
             inflight = len(self.pool._inflight)
-        self._stop_listening()
+        self.stop_listening()
         self.pool.shutdown(wait=True, cancel_pending=True)
         counts = self.pool.store.counts()
         requeued = counts.get("queued", 0) + counts.get("running", 0)

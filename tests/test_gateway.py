@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+import urllib.error
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -28,7 +32,7 @@ from repro.gateway import (
 )
 from repro.gateway.registry import compute_registry_digest, node_id_for_url
 from repro.service import create_server
-from repro.service.client import ServiceClient, ServiceRequestError
+from repro.service.client import ServiceClient, ServiceRequestError, ServiceUnavailable
 from repro.service.journal import checksummed_line
 from repro.service.registry import build_default_registry
 from repro.service.workers import job_digest
@@ -990,3 +994,73 @@ class TestNeverServedClose:
 
         threading.Thread(target=close, daemon=True).start()
         assert done.wait(10), "close() hung on a gateway that never served"
+
+
+class _SaturatedNodeHandler(BaseHTTPRequestHandler):
+    """A node stub whose queue is always full: every POST answers 429."""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = json.dumps({"error": "queue full", "retry_after": 0.2}).encode()
+        self.send_response(429)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Retry-After", "1")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        self.send_error(404)
+
+    def log_message(self, *args):  # quiet test output
+        pass
+
+
+@pytest.fixture()
+def saturated_node():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SaturatedNodeHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+class TestSaturationRetryAfter:
+    def test_client_keeps_the_last_retry_hint(self, saturated_node):
+        client = ServiceClient(saturated_node, retries=1, backoff=0.01)
+        with pytest.raises(ServiceUnavailable) as excinfo:
+            client.request("POST", "/v1/jobs", QUANT)
+        assert excinfo.value.saturated
+        assert excinfo.value.retry_after == 0.2
+
+    def test_gateway_forwards_the_node_retry_hint(self, saturated_node):
+        gateway = create_gateway(port=0, suspect_after=30.0, dead_after=60.0)
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        try:
+            gateway.admit_node(saturated_node, gateway.registry_digest)
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{gateway.port}/v1/jobs",
+                data=json.dumps(QUANT).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 429
+            assert json.loads(excinfo.value.read())["retry_after"] == 0.2
+        finally:
+            gateway.close()
+
+
+class TestPromptTeardown:
+    def test_serving_node_and_gateway_close_without_waiting_out_a_poll(self):
+        # The serve loop polls every 0.5 s; close() must wake it at once.
+        gateway = create_gateway(port=0)
+        node = create_server(port=0, max_workers=1)
+        for server in (gateway, node):
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        time.sleep(0.05)  # let both loops enter their first poll
+        start = time.monotonic()
+        node.close()
+        gateway.close()
+        assert time.monotonic() - start < 0.4
