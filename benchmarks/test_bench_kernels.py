@@ -37,7 +37,8 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
 )
-from repro.eval.experiments import figure6_kl_divergence
+from repro.eval.benchmarks import BenchmarkSuite
+from repro.eval.experiments import figure6_kl_divergence, figure14_load_balance
 from repro.quant import bitflip as bitflip_module
 from repro.quant.bitflip import _bitflip_batch_reference, bitflip_tensor
 from repro.quant.ptq import _optimal_clip_scale_reference, optimal_clip_scale
@@ -169,6 +170,26 @@ def test_bench_global_pruning(benchmark, weight_matrix):
             global_binary_prune, args=(layers, scores, MODERATE_PRESET), rounds=1, iterations=1
         )
     assert result.compression_ratio() > 1.3
+
+
+def test_bench_figure14_column_sweep(benchmark):
+    """Figure 14 on ResNet-50: five accelerators, each one five-geometry sweep.
+
+    Weights are synthesized before timing and the memo is suspended, so the
+    figure's own work is measured: one profile per layer and accelerator
+    (group cycle stats, bit-flip, binary pruning, stored bytes), then the
+    wave timing of each PE column count.
+    """
+    suite = BenchmarkSuite(seed=0)
+    suite.weights("ResNet-50")
+    with memo_disabled():
+        result = benchmark.pedantic(
+            figure14_load_balance,
+            kwargs={"models": ["ResNet-50"], "suite": suite},
+            rounds=1,
+            iterations=1,
+        )
+    assert [row["pe_columns"] for row in result["rows"]] == [2, 4, 8, 16, 32]
 
 
 # --------------------------------------------------------------------------- #

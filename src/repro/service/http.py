@@ -102,6 +102,10 @@ def retry_after(seconds: float) -> dict[str, str]:
     return {"Retry-After": str(max(1, math.ceil(seconds)))}
 
 
+#: The selector ``socketserver`` serves with: poll where available.
+_ServeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
+
+
 class JSONServer(ThreadingHTTPServer):
     """Threaded HTTP server whose :meth:`shutdown` wakes the serve loop at once.
 
@@ -124,7 +128,7 @@ class JSONServer(ThreadingHTTPServer):
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._idle.clear()
         try:
-            with selectors.DefaultSelector() as selector:
+            with _ServeSelector() as selector:
                 selector.register(self, selectors.EVENT_READ)
                 selector.register(self._wake_reader, selectors.EVENT_READ)
                 while not self._stop_requested:
