@@ -378,7 +378,10 @@ def _search_block(
             lo,
             hi,
         )
-    # First minimum over the ascending candidates == smallest winning
+    # All errors are exact integers.  The reference compares float64 MSEs,
+    # but those equal SSE / group_size with every intermediate exactly
+    # representable, so integer SSE order is the reference's order; the
+    # first minimum over the ascending candidates is the smallest winning
     # constant, exactly the reference's strict-improvement scan.
     return candidates[np.argmin(sse, axis=0)]
 

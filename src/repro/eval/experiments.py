@@ -613,12 +613,11 @@ def figure13_energy(
 def _column_sweeps(
     suite: BenchmarkSuite, model_name: str, column_counts: tuple[int, ...]
 ) -> dict[str, list[ModelPerformance]]:
-    """Figures 14/15 line-up: one column sweep per accelerator on one model."""
+    """Figures 14/15: one column sweep per load-balance design on one model."""
     model = suite.model(model_name)
     weights = suite.weights(model_name)
     array = suite.array
     accelerators = {
-        "Stripes": StripesAccelerator(array=array),
         "Pragmatic": PragmaticAccelerator(array=array),
         "Bitlet": BitletAccelerator(array=array),
         "BitWave": BitWaveAccelerator(array=array),
@@ -640,8 +639,10 @@ def figure14_load_balance(
     suite = suite or BenchmarkSuite()
     rows = []
     for model_name in models:
+        baselines = StripesAccelerator(array=suite.array).sweep_columns(
+            suite.model(model_name), suite.weights(model_name), column_counts
+        )
         sweeps = _column_sweeps(suite, model_name, column_counts)
-        baselines = sweeps.pop("Stripes")
         for index, columns in enumerate(column_counts):
             row: dict[str, object] = {"model": model_name, "pe_columns": columns}
             for name, performances in sweeps.items():
@@ -661,7 +662,6 @@ def figure15_stall_breakdown(
     rows = []
     for model_name in models:
         sweeps = _column_sweeps(suite, model_name, column_counts)
-        del sweeps["Stripes"]
         for index, columns in enumerate(column_counts):
             for name, performances in sweeps.items():
                 rows.append(

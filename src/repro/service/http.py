@@ -13,6 +13,9 @@ The envelope contract: every outcome answers JSON — client errors
 (:class:`HTTPError`) with their status, server-specific failures through the
 subclass hook, anything else a last-resort 500 — never an HTML traceback,
 and never a silently dropped keep-alive connection.
+
+:class:`JSONServer` is the server both run on: its serve loop stops as soon
+as :meth:`~JSONServer.shutdown` is called, instead of at the next poll.
 """
 
 from __future__ import annotations
@@ -121,6 +124,7 @@ class JSONServer(ThreadingHTTPServer):
     def __init__(self, address, handler) -> None:
         super().__init__(address, handler)
         self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_writer.setblocking(False)
         self._stop_requested = False
         self._idle = threading.Event()
         self._idle.set()
@@ -151,7 +155,7 @@ class JSONServer(ThreadingHTTPServer):
         try:
             self._wake_writer.send(b"\0")
         except OSError:
-            pass  # already closed: no loop left to wake
+            pass  # closed, or already holding an unread wake-up
         self._idle.wait()
 
     def server_close(self) -> None:
