@@ -298,7 +298,7 @@ class TestColumnSweep:
         weights = small_resnet_weights if model_name == "ResNet-50" else small_vit_weights
         swept = make(array=SMALL_ARRAY).sweep_columns(model, weights, self.COLUMN_COUNTS)
         assert len(swept) == len(self.COLUMN_COUNTS)
-        for columns, performance in zip(self.COLUMN_COUNTS, swept):
+        for columns, performance in zip(self.COLUMN_COUNTS, swept, strict=True):
             single = make(array=SMALL_ARRAY.with_columns(columns)).run_model(model, weights)
             # Dataclass equality: every LayerPerformance field, exact floats.
             assert performance == single
